@@ -309,9 +309,10 @@ ShardComparison run_shard_comparison(int reps, std::size_t shards_override) {
   // then a dry-run purge off each final plan must pick the same victims.
   {
     sim::ActivenessTimeline one(catalog, build_store(s), params,
-                                activeness::EvalMode::kAuto, 1);
+                                activeness::EvalMode::kIncremental, 1);
     sim::ActivenessTimeline many(catalog, build_store(s), params,
-                                 activeness::EvalMode::kAuto, cmp.shards);
+                                 activeness::EvalMode::kIncremental,
+                                 cmp.shards);
     std::size_t triggers = 0;
     for (util::TimePoint t = s.sim_begin; t <= s.sim_end;
          t += util::days(1)) {
@@ -338,10 +339,11 @@ ShardComparison run_shard_comparison(int reps, std::size_t shards_override) {
 
   // Timed reps: each shard count drives its own fresh timeline through the
   // replay year; best-of-reps. eval_seconds() counts only this timeline's
-  // advance() wall time (wake filter + segment advances + plan merge).
+  // advance() wall time (wake filter + segment advances + plan splice).
   const auto run_shards = [&](std::size_t shards) {
     sim::ActivenessTimeline timeline(catalog, build_store(s), params,
-                                     activeness::EvalMode::kAuto, shards);
+                                     activeness::EvalMode::kIncremental,
+                                     shards);
     for (util::TimePoint t = s.sim_begin; t <= s.sim_end;
          t += util::days(1)) {
       benchmark::DoNotOptimize(timeline.plan_at(t));

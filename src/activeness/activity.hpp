@@ -189,13 +189,12 @@ class ActivityStore {
   /// un-sorted bulk add() is pending.
   bool finalized() const { return finalized_; }
 
-  // -- dirty tracking (single consumer: the incremental evaluator) --------
+  // -- dirty tracking (single consumer: the evaluation pipeline) ----------
   //
   // Dirty users are routed into per-shard queues at mark time (ShardMap over
-  // this store's user count; one shard by default, so the global API below
-  // behaves exactly as before sharding existed). A ShardedEvaluator
-  // configures S > 1 so an advance can ask "does shard s have work?" without
-  // scanning other shards' queues.
+  // this store's user count; one shard by default). The ShardedEvaluator
+  // configures its segment count S so an advance can ask "does shard s have
+  // work?" without scanning other shards' queues.
   //
   // Thread-safety: take_dirty(shard) / has_dirty(shard) / drain_ingest(shard)
   // for *distinct* shards touch disjoint state (each shard's own queues,

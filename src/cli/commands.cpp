@@ -8,7 +8,6 @@
 #include <ostream>
 #include <string>
 
-#include "activeness/incremental.hpp"
 #include "activeness/sharded.hpp"
 #include "activeness/rank_store.hpp"
 #include "cli/flags.hpp"
@@ -45,7 +44,7 @@ commands:
   evaluate  --users F --jobs F [--pubs F] --now YYYY-MM-DD
             [--period-days D] [--out ranks.csv]
             [--op-activities F1,F2,...] [--oc-activities F1,F2,...]
-            [--eval-mode auto|full|incremental] [--shards N]
+            [--eval-mode incremental|full] [--shards N]
             Evaluate every user's activeness (Eqs. 1-6) and print the
             classification; optionally save the rank store. Extra activity
             CSVs (header: user,timestamp,impact) register one additional
@@ -60,7 +59,7 @@ commands:
             [--target FRACTION] [--exempt FILE]
             [--out-snapshot F] [--ledger F] [--dry-run] [--victims F]
             [--scan-mode auto|walk|indexed]
-            [--eval-mode auto|full|incremental] [--shards N]
+            [--eval-mode incremental|full] [--shards N]
             [--check-index]
             One retention pass over a snapshot. --target is the fraction of
             *current usage* to retain (0 disables the byte target). ActiveDR
@@ -70,26 +69,28 @@ commands:
             deleting; --victims writes the purge list (one path per line).
             --scan-mode picks the victim scan: the maintained atime index
             or the legacy namespace walk (auto chooses per policy).
-            --eval-mode picks how the inline evaluation runs (see
-            activeness/incremental.hpp; both modes rank identically).
+            --eval-mode picks how the inline evaluation runs: delta-aware
+            (default) or the full re-evaluation oracle (see
+            activeness/sharded.hpp; both modes rank identically).
             --shards fans the evaluation out over N user-range shards
             (0 = one per available thread; identical ranks and victims).
             --check-index cross-verifies the purge index against a full
             namespace walk after the run (exit 3 on mismatch).
 
   compare   --dir DIR --as-of YYYY-MM-DD [--lifetime D] [--target FRACTION]
-            [--eval-mode auto|full|incremental] [--shards N]
+            [--eval-mode incremental|full] [--shards N]
             The paper's §4.4 one-shot retention comparison (Figs. 9-11) on a
             `synth` bundle: both policies chase the same target from the
             state at --as-of.
 
   replay    --dir DIR [--lifetime D] [--interval D] [--target FRACTION]
-            [--eval-mode auto|full|incremental] [--shards N]
+            [--eval-mode incremental|full] [--shards N]
             Year-long FLT-vs-ActiveDR replay over a `synth` bundle.
-            --eval-mode selects delta-aware vs full re-evaluation at each
-            purge trigger (identical results; incremental is the fast path).
-            --shards N runs each evaluation sharded by user range across
-            the thread pool (activeness/sharded.hpp; same results).
+            --eval-mode selects delta-aware (default) vs full
+            re-evaluation at each purge trigger (identical results; full is
+            the reference oracle). --shards N splits each evaluation into N
+            user-range segments across the thread pool
+            (activeness/sharded.hpp; same results).
 
   loadgen   [--load-rate EV_PER_SEC] [--load-duration SECONDS]
             [--trigger-interval S] [--p99-budget-ms MS]
@@ -117,7 +118,7 @@ commands:
             violated invariant; the failure replays from --seed.
 
   serve     --wal DIR --state DIR --users F [--snapshot F] [--lifetime D]
-            [--eval-mode auto|full|incremental] [--shards N]
+            [--eval-mode incremental|full] [--shards N]
             [--scan-mode auto|walk|indexed] [--checkpoint-every N]
             [--poll-ms MS] [--max-ticks N] [--metrics-interval TICKS]
             [--exempt FILE] [--no-seal-on-stop]

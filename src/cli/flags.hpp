@@ -7,7 +7,7 @@
 #include <string>
 
 #include "activeness/activity.hpp"
-#include "activeness/incremental.hpp"
+#include "activeness/sharded.hpp"
 #include "retention/flt.hpp"
 #include "util/config.hpp"
 #include "util/time.hpp"
@@ -33,11 +33,11 @@ inline util::TimePoint require_date(const util::Config& config,
 }
 
 inline activeness::EvalMode eval_mode_flag(const util::Config& config) {
-  const std::string name = config.get_string("eval-mode", "auto");
-  activeness::EvalMode mode = activeness::EvalMode::kAuto;
+  const std::string name = config.get_string("eval-mode", "incremental");
+  activeness::EvalMode mode = activeness::EvalMode::kIncremental;
   if (!activeness::parse_eval_mode(name, mode)) {
     throw std::runtime_error("unknown --eval-mode: " + name +
-                             " (expected auto, full, or incremental)");
+                             " (expected full or incremental)");
   }
   return mode;
 }

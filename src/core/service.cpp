@@ -164,16 +164,14 @@ void Service::load_snapshot(const trace::Snapshot& snapshot) {
 void Service::set_degraded(bool degraded) {
   if (degraded_ == degraded) return;
   degraded_ = degraded;
-  pipeline_->set_mode(degraded ? activeness::EvalMode::kIncremental
-                               : config_.eval_mode);
   obs::MetricsRegistry::global().counter("service.degrade_transitions").add();
 }
 
 const activeness::RankStore& Service::evaluate(util::TimePoint now) {
   activeness::ActivityStore& store = ensure_store();
-  // Unlike the pre-refactor Engine guard this also checks the ingest
-  // queues: a daemon trigger repeated at the same `now` must still fold in
-  // events producers enqueued since the last advance.
+  // The guard also checks the ingest queues: a daemon trigger repeated at
+  // the same `now` must still fold in events producers enqueued since the
+  // last advance.
   if (last_eval_time_ && *last_eval_time_ == now && !store.has_dirty() &&
       !store.has_pending_ingest()) {
     return ranks_;

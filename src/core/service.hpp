@@ -1,18 +1,27 @@
 #pragma once
-// core::Service — the shared trigger/evaluate/purge orchestration layer
-// (DESIGN.md §13).
+// core::Service — the library's public entry point and the shared
+// trigger/evaluate/purge orchestration layer (DESIGN.md §13).
 //
-// Before this layer existed, three call sites each rebuilt the same wiring
-// by hand: Engine (the library entry point), cli/commands.cpp (one-shot
-// `evaluate`/`purge`), and sim/loadgen.cpp (the sustained-load harness).
-// Service owns that wiring once — registry, activity catalog + store,
-// ShardedEvaluator pipeline, Vfs, exemptions — and everything above it is a
-// thin adapter: Engine forwards its public API here, the CLI builds a
-// Service per invocation, and `activedr serve` keeps one resident and feeds
-// it from the WAL.
+// A Service owns the pieces a deployment needs: the user registry, the
+// activity catalog and recorded activities, the ShardedEvaluator pipeline,
+// the virtual file system (or, in a real deployment, the snapshot index of
+// the scratch space), and the reservation list. Typical administrator flow
+// (see examples/quickstart.cpp):
 //
-// Three capabilities are new at this layer (the daemon needs them, the
-// one-shot paths get them for free):
+//   adr::core::Service service(registry, config);           // one-time setup
+//   auto jobs = service.register_operation_type("job", 1.0);
+//   auto pubs = service.register_outcome_type("publication", 1.0);
+//   service.record(user, jobs, t, core_hours);               // keep tracing
+//   service.load_snapshot(snapshot);                          // scratch state
+//   service.reserve("/scratch/u1/keep.dat");                  // exemptions
+//   auto report = service.purge(now);                         // per trigger
+//
+// The one-shot CLI commands build a Service per invocation, sim/loadgen.cpp
+// drives one under sustained load, and `activedr serve` keeps one resident
+// and feeds it from the WAL.
+//
+// Three capabilities serve the daemon (the one-shot paths get them for
+// free):
 //
 //  * apply(Event): a WAL record mutates exactly the state the bulk loaders
 //    would have built — kJob/kPublication stream into the ActivityStore
@@ -47,12 +56,15 @@
 
 namespace adr::core {
 
-/// Everything a deployment configures once. The first block mirrors
-/// Engine::Options (Eq. 7 knobs, retrospective policy, purge target, eval
-/// fan-out); the second block carries the execution knobs the CLI used to
-/// thread by hand into each policy run.
+/// Everything a deployment configures once. The first block holds Eq. 7's
+/// knobs, the retrospective policy, the purge target and the evaluation
+/// fan-out; the second block the execution knobs of each policy run.
 struct ServiceConfig {
+  /// Initial file lifetime d (days); doubles as the activeness period
+  /// length, as in the paper's evaluation.
   int lifetime_days = 90;
+  /// Utilization the purge drives the scratch space down to (fraction of
+  /// capacity). <= 0: no target — purge everything expired.
   double purge_target_utilization = 0.5;
   int retrospective_passes = 5;
   double retrospective_decay = 0.20;
@@ -61,7 +73,11 @@ struct ServiceConfig {
   activeness::ExponentScheme scheme =
       activeness::ExponentScheme::kPaperExponent;
   int max_periods = 0;
-  activeness::EvalMode eval_mode = activeness::EvalMode::kAuto;
+  /// kFull re-evaluates everyone at every trigger — the reference the
+  /// delta-aware default is checked against (activeness/sharded.hpp).
+  activeness::EvalMode eval_mode = activeness::EvalMode::kIncremental;
+  /// User-range segments the evaluation fans out over
+  /// (activeness/sharded.hpp). 0 = one per available thread (max 16).
   std::size_t eval_shards = 0;
 
   retention::ScanMode scan_mode = retention::ScanMode::kAuto;
@@ -129,8 +145,13 @@ class Service {
   /// `now` still folds in everything fed since the last trigger.
   const activeness::RankStore& evaluate(util::TimePoint now);
 
+  /// Classification counts G1..G4 from the latest evaluation.
   std::array<std::size_t, activeness::kGroupCount> group_counts() const;
+  /// The activeness of one user per the latest evaluation (fresh defaults
+  /// if the user was never evaluated).
   activeness::UserActiveness activeness_of(trace::UserId user) const;
+  /// The file lifetime this user's files currently enjoy (Eq. 7 with this
+  /// service's config), per the latest evaluation.
   util::Duration effective_lifetime_of(trace::UserId user) const;
   const activeness::RankStore& ranks() const { return ranks_; }
 
@@ -170,11 +191,10 @@ class Service {
   RestoreStatus restore_checkpoint(const std::string& dir);
 
   // -- degradation (DESIGN.md §14.2) --------------------------------------
-  /// Pin the evaluator pipeline to kIncremental (true) or restore the
-  /// configured eval mode (false). Degraded evaluation bounds per-trigger
-  /// work by the dirty set — no advance can decide to pay a full-rebuild
-  /// latency spike — while computing byte-identical ranks, so a degraded
-  /// daemon still answers triggers exactly. Idempotent.
+  /// Record that the daemon's health ladder entered (true) or left (false)
+  /// its degraded rungs; counted in `service.degrade_transitions`. The
+  /// pipeline already bounds per-trigger work by the dirty set in every
+  /// state, so nothing about evaluation changes. Idempotent.
   void set_degraded(bool degraded);
   bool degraded() const { return degraded_; }
 

@@ -100,17 +100,17 @@ bool PathTrie::insert_components(Node* node,
       continue;
     }
     // Split the edge: mid covers the shared prefix, child keeps the tail.
+    // mid starts with the same component as the child it replaces, so it
+    // takes the child's slot in place and the children stay sorted.
     auto mid = std::make_unique<Node>();
     mid->edge.assign(child->edge.begin(),
                      child->edge.begin() + static_cast<std::ptrdiff_t>(k));
     std::unique_ptr<Node> detached = std::move(node->children[ci]);
-    node->children.erase(node->children.begin() +
-                         static_cast<std::ptrdiff_t>(ci));
     detached->edge.erase(detached->edge.begin(),
                          detached->edge.begin() + static_cast<std::ptrdiff_t>(k));
     Node* mid_raw = mid.get();
     mid->adopt(std::move(detached));
-    node->adopt(std::move(mid));
+    node->children[ci] = std::move(mid);
     ++node_count_;
     node = mid_raw;
     i += k;

@@ -195,8 +195,8 @@ void Daemon::observe_phase(const char* phase,
 
 void Daemon::apply_health() {
   const HealthState state = health_.state();
-  // Degradation ladder rung 1: degraded (and worse) pins the evaluator to
-  // incremental mode — bounded delta work, identical output.
+  // Degradation ladder rung 1: degraded (and worse) is recorded on the
+  // service; the delta-aware evaluation already bounds per-trigger work.
   service_.set_degraded(state == HealthState::kDegraded ||
                         state == HealthState::kOverloaded);
   // Rung 2: overloaded defers new triggers with jittered exponential

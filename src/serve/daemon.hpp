@@ -165,7 +165,7 @@ class Daemon {
   void prune_checkpoints();
   void export_metrics();
   /// Feed a completed watched phase to the HealthMonitor and apply the
-  /// resulting state: degraded/overloaded pins incremental evaluation,
+  /// resulting state: degraded/overloaded is recorded on the service,
   /// overloaded additionally arms the trigger-deferral window.
   void observe_phase(const char* phase,
                      std::chrono::steady_clock::time_point begin);

@@ -11,10 +11,9 @@
 //                                    ▼
 //                                draining            (terminal)
 //
-//  * degraded — the owner pins the evaluator pipeline to kIncremental
-//    (Service::set_degraded): delta work is bounded by the dirty set, so no
-//    advance can decide to pay a full-rebuild latency spike. Output is
-//    unchanged — every eval mode computes identical ranks.
+//  * degraded — reported (status, Service::set_degraded) but changes no
+//    work schedule: the evaluation pipeline already bounds every forward
+//    trigger by the dirty set. Further breaches climb to overloaded.
 //  * overloaded — new trigger commands are deferred with jittered
 //    exponential backoff (the .cmd file stays in place; status/stop keep
 //    working). Recovery needs `recover_after_ok` consecutive in-deadline

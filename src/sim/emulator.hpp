@@ -8,8 +8,8 @@
 // their miss series are directly comparable.
 //
 // ActivenessTimeline centralizes user evaluation during replay: each purge
-// trigger advances an incremental evaluation pipeline to that instant (see
-// activeness/incremental.hpp — only users whose rank can have changed are
+// trigger advances the evaluation pipeline to that instant (see
+// activeness/sharded.hpp — only users whose rank can have changed are
 // re-ranked). ActiveDR consumes the scan plan; both policies' metrics
 // attribute users to the same classification, so the per-group figures line
 // up the way the paper's do.
@@ -33,8 +33,8 @@
 namespace adr::sim {
 
 /// Re-evaluation of user activeness at successive replay instants, advanced
-/// in place by an IncrementalEvaluator. Only the *latest* scan plan is held
-/// (repeated plan_at with the same t returns the same object); group
+/// in place by the ShardedEvaluator pipeline. Only the *latest* scan plan is
+/// held (repeated plan_at with the same t returns the same object); group
 /// attribution history is a compact per-trigger group table, deduplicated
 /// across triggers whose classification did not change — the timeline's
 /// memory is bounded by the number of *distinct* classifications, not by
@@ -42,12 +42,13 @@ namespace adr::sim {
 class ActivenessTimeline {
  public:
   /// `shards`: user-range shards the per-trigger evaluation fans out over
-  /// (activeness/sharded.hpp; 0 = one per available thread, 1 = the
-  /// single-pipeline path). Plans/ranks are identical for every value.
+  /// (activeness/sharded.hpp; 0 = one per available thread). Plans/ranks
+  /// are identical for every value.
   ActivenessTimeline(const activeness::ActivityCatalog& catalog,
                      activeness::ActivityStore store,
                      activeness::EvaluationParams base_params,
-                     activeness::EvalMode mode = activeness::EvalMode::kAuto,
+                     activeness::EvalMode mode =
+                         activeness::EvalMode::kIncremental,
                      std::size_t shards = 0);
 
   /// Scan plan evaluated at `t`. The returned reference stays valid until
@@ -87,7 +88,7 @@ class ActivenessTimeline {
   static ActivenessTimeline for_scenario(
       const synth::TitanScenario& scenario,
       activeness::EvaluationParams params,
-      activeness::EvalMode mode = activeness::EvalMode::kAuto,
+      activeness::EvalMode mode = activeness::EvalMode::kIncremental,
       std::size_t shards = 0);
 
  private:
@@ -187,7 +188,7 @@ struct EmulatorConfig {
   /// O(files) per trigger — for tests and debugging, not production runs.
   bool audit_purge_index = false;
   /// User-range shards for the trigger evaluations (activeness/sharded.hpp):
-  /// 0 = one per available thread (max 16), 1 = single pipeline. Forwarded
+  /// 0 = one per available thread (max 16). Forwarded
   /// into the ActivenessTimeline by the experiment runners; identical
   /// plans and victims for every value.
   std::size_t eval_shards = 0;

@@ -32,11 +32,11 @@ struct ExperimentConfig {
   activeness::StaleHandling stale = activeness::StaleHandling::kClampOldest;
   int max_periods = 0;
   /// How the timeline re-evaluates at each trigger (delta-aware by default;
-  /// kFull pins the re-rank-everyone baseline). Full and incremental are
-  /// result-identical — this is a performance knob.
-  activeness::EvalMode eval_mode = activeness::EvalMode::kAuto;
+  /// kFull re-ranks everyone — the reference oracle). Full and incremental
+  /// are result-identical.
+  activeness::EvalMode eval_mode = activeness::EvalMode::kIncremental;
   /// User-range shards for the trigger evaluations (0 = one per available
-  /// thread, 1 = single pipeline; identical results either way).
+  /// thread; identical results for every value).
   std::size_t eval_shards = 0;
 
   /// Optional reserved paths (purge exemption) applied to ActiveDR runs.

@@ -131,7 +131,7 @@ LoadLevelResult run_load_level(const LoadGenConfig& config, double rate) {
   const std::vector<LoadEvent> events = make_events(config, rate);
 
   // Warm start before any producer exists: sizes the ingest/dirty sharding
-  // and lets ensure_shards() run set_dirty_shards() while single-threaded —
+  // and lets the first advance run set_dirty_shards() while single-threaded —
   // shard re-bucketing must never race an enqueue.
   service.prepare_ingest();
   service.evaluate(config.sim_begin);

@@ -23,7 +23,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "activeness/incremental.hpp"
+#include "activeness/sharded.hpp"
 #include "util/time.hpp"
 
 namespace adr::sim {
@@ -33,10 +33,9 @@ struct LoadGenConfig {
   std::size_t files_per_user = 20;  ///< synthetic purge population per user
   std::uint64_t seed = 42;
   std::size_t producers = 2;  ///< concurrent ingest threads
-  /// Evaluation shards (activeness/sharded.hpp): 0 = default_shard_count(),
-  /// 1 = single pipeline.
+  /// Evaluation shards (activeness/sharded.hpp): 0 = default_shard_count().
   std::size_t shards = 0;
-  activeness::EvalMode eval_mode = activeness::EvalMode::kAuto;
+  activeness::EvalMode eval_mode = activeness::EvalMode::kIncremental;
   int period_length_days = 30;
 
   double events_per_sec = 4000.0;  ///< first ramp level's target rate

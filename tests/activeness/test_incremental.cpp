@@ -1,90 +1,30 @@
-// The tentpole guarantee of the incremental pipeline: full and incremental
-// evaluation are *identical* — same ranks, same classifications, same scan
-// plan order — across randomized populations, trigger cadences, streaming
-// appends, and both stale-handling policies. Plus the delta bookkeeping:
-// only users whose rank can have changed are re-evaluated.
-
-#include "activeness/incremental.hpp"
+// The tentpole guarantee of the incremental pipeline: at every trigger its
+// ranks, classifications and scan plan order are *identical* to the plain
+// reference (Evaluator::evaluate_all + build_scan_plan) — across randomized
+// populations, trigger cadences, streaming appends, and both stale-handling
+// policies. Plus the delta bookkeeping: only users whose rank can have
+// changed are re-evaluated.
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <vector>
 
-#include "util/rng.hpp"
+#include "reference.hpp"
 
 namespace adr::activeness {
 namespace {
 
-constexpr util::TimePoint kT0 = 1'700'000'000;
-constexpr util::Duration kDay = 86'400;
-
-void expect_same_rank(const Rank& a, const Rank& b, const char* what) {
-  EXPECT_EQ(a.has_data, b.has_data) << what;
-  EXPECT_EQ(a.zero, b.zero) << what;
-  EXPECT_EQ(a.log_phi, b.log_phi) << what;
-}
-
-void expect_same_activeness(const UserActiveness& a, const UserActiveness& b) {
-  EXPECT_EQ(a.user, b.user);
-  expect_same_rank(a.op, b.op, "op");
-  expect_same_rank(a.oc, b.oc, "oc");
-  EXPECT_EQ(a.last_activity, b.last_activity);
-}
-
-void expect_same_plan(const ScanPlan& a, const ScanPlan& b) {
-  for (std::size_t g = 0; g < kGroupCount; ++g) {
-    ASSERT_EQ(a.groups[g].size(), b.groups[g].size()) << "group " << g;
-    for (std::size_t i = 0; i < a.groups[g].size(); ++i) {
-      EXPECT_EQ(a.groups[g][i].user, b.groups[g][i].user)
-          << "group " << g << " position " << i;
-      expect_same_activeness(a.groups[g][i], b.groups[g][i]);
-    }
-  }
-}
-
-/// A random population: most users sparse (many end up at Φ = 0 or fresh),
-/// a few dense enough to hold a positive rank.
-ActivityStore random_store(std::uint64_t seed, std::size_t users) {
-  ActivityStore store(users, 2);
-  util::Rng rng(seed);
-  for (trace::UserId u = 0; u < users; ++u) {
-    const double archetype = rng.uniform();
-    if (archetype < 0.15) continue;  // fresh: no activity at all
-    const bool dense = archetype > 0.8;
-    const int events = dense ? static_cast<int>(rng.uniform_int(30, 80))
-                             : static_cast<int>(rng.uniform_int(1, 6));
-    for (int e = 0; e < events; ++e) {
-      const util::TimePoint ts =
-          kT0 - static_cast<util::Duration>(rng.uniform(0, 700) * kDay);
-      const ActivityTypeId type = rng.uniform() < 0.7 ? 0 : 1;
-      store.add(u, type, Activity{ts, rng.uniform(0.1, 50.0)});
-    }
-  }
-  store.sort_all();
-  return store;
-}
-
-EvaluationParams params_for(int period_days, StaleHandling stale,
-                            ExponentScheme scheme, int max_periods = 0) {
-  EvaluationParams p;
-  p.period_length_days = period_days;
-  p.stale = stale;
-  p.scheme = scheme;
-  p.max_periods = max_periods;
-  return p;
-}
+using namespace oracle;
 
 TEST(EvalMode, ParseAndFormat) {
   EvalMode mode = EvalMode::kFull;
-  EXPECT_TRUE(parse_eval_mode("auto", mode));
-  EXPECT_EQ(mode, EvalMode::kAuto);
-  EXPECT_TRUE(parse_eval_mode("full", mode));
-  EXPECT_EQ(mode, EvalMode::kFull);
   EXPECT_TRUE(parse_eval_mode("incremental", mode));
   EXPECT_EQ(mode, EvalMode::kIncremental);
+  EXPECT_TRUE(parse_eval_mode("full", mode));
+  EXPECT_EQ(mode, EvalMode::kFull);
+  EXPECT_FALSE(parse_eval_mode("auto", mode));
   EXPECT_FALSE(parse_eval_mode("turbo", mode));
-  EXPECT_STREQ(to_string(EvalMode::kAuto), "auto");
+  EXPECT_EQ(mode, EvalMode::kFull);
   EXPECT_STREQ(to_string(EvalMode::kFull), "full");
   EXPECT_STREQ(to_string(EvalMode::kIncremental), "incremental");
 }
@@ -97,22 +37,14 @@ TEST(IncrementalEvaluator, MatchesFullAcrossRandomizedTriggerSweeps) {
       const EvaluationParams params =
           params_for(90, stale, ExponentScheme::kPaperExponent,
                      stale == StaleHandling::kDrop ? 4 : 0);
-      ActivityStore store_full = random_store(seed, 120);
-      ActivityStore store_inc = random_store(seed, 120);
-      IncrementalEvaluator full(catalog, params, EvalMode::kFull);
-      IncrementalEvaluator inc(catalog, params, EvalMode::kIncremental);
+      ActivityStore store = random_store(seed, 120);
+      ShardedEvaluator inc(catalog, params, EvalMode::kIncremental);
       util::Rng cadence(seed ^ 0xfeed);
       util::TimePoint t = kT0 - 400 * kDay;
       for (int trigger = 0; trigger < 12; ++trigger) {
         t += static_cast<util::Duration>(cadence.uniform_int(3, 40)) * kDay;
-        full.advance(store_full, t);
-        const AdvanceStats stats = inc.advance(store_inc, t);
-        ASSERT_EQ(full.users().size(), inc.users().size());
-        for (std::size_t u = 0; u < full.users().size(); ++u) {
-          expect_same_activeness(full.users()[u], inc.users()[u]);
-          EXPECT_EQ(full.groups()[u], inc.groups()[u]);
-        }
-        expect_same_plan(full.plan(), inc.plan());
+        const AdvanceStats stats = inc.advance(store, t);
+        expect_matches(reference_at(catalog, params, store, t), inc);
         if (trigger > 0) {
           EXPECT_FALSE(stats.full_rebuild)
               << "forward advance must stay incremental";
@@ -128,7 +60,7 @@ TEST(IncrementalEvaluator, StreamingAppendsMatchFullEvaluation) {
       30, StaleHandling::kClampOldest, ExponentScheme::kPaperExponent);
   ActivityStore live(60, 2);  // starts empty; events stream in
   ActivityStore mirror(60, 2);
-  IncrementalEvaluator inc(catalog, params, EvalMode::kIncremental);
+  ShardedEvaluator inc(catalog, params, EvalMode::kIncremental);
   util::Rng rng(77);
   util::TimePoint t = kT0;
   for (int trigger = 0; trigger < 10; ++trigger) {
@@ -147,18 +79,9 @@ TEST(IncrementalEvaluator, StreamingAppendsMatchFullEvaluation) {
     t = next;
     inc.advance(live, t);
 
-    // Reference: a from-scratch full evaluation over the same events.
-    ActivityStore reference(60, 2);
-    for (trace::UserId u = 0; u < 60; ++u) {
-      for (ActivityTypeId ty = 0; ty < 2; ++ty) {
-        for (const Activity& a : mirror.stream(u, ty)) {
-          reference.add(u, ty, a);
-        }
-      }
-    }
-    IncrementalEvaluator full(catalog, params, EvalMode::kFull);
-    full.advance(reference, t);
-    expect_same_plan(full.plan(), inc.plan());
+    // Reference: a from-scratch evaluation over the same events, loaded in
+    // bulk.
+    expect_matches(reference_at(catalog, params, mirror, t), inc);
   }
 }
 
@@ -173,7 +96,7 @@ TEST(IncrementalEvaluator, ReevaluatesOnlyTheDirtyUser) {
   store.add(0, 0, Activity{kT0 - 580 * kDay, 5.0});
   store.sort_all();
 
-  IncrementalEvaluator inc(catalog, params, EvalMode::kIncremental);
+  ShardedEvaluator inc(catalog, params, EvalMode::kIncremental);
   const AdvanceStats first = inc.advance(store, kT0);
   EXPECT_TRUE(first.full_rebuild);
 
@@ -200,15 +123,11 @@ TEST(IncrementalEvaluator, BackwardsTimeForcesFullRebuild) {
   const EvaluationParams params = params_for(
       30, StaleHandling::kClampOldest, ExponentScheme::kPaperExponent);
   ActivityStore store = random_store(5, 50);
-  ActivityStore reference_store = random_store(5, 50);
-  IncrementalEvaluator inc(catalog, params, EvalMode::kIncremental);
+  ShardedEvaluator inc(catalog, params, EvalMode::kIncremental);
   inc.advance(store, kT0);
   const AdvanceStats back = inc.advance(store, kT0 - 100 * kDay);
   EXPECT_TRUE(back.full_rebuild);
-
-  IncrementalEvaluator full(catalog, params, EvalMode::kFull);
-  full.advance(reference_store, kT0 - 100 * kDay);
-  expect_same_plan(full.plan(), inc.plan());
+  expect_matches(reference_at(catalog, params, store, kT0 - 100 * kDay), inc);
 }
 
 TEST(IncrementalEvaluator, PlanPatchingMovesUsersAcrossGroups) {
@@ -233,7 +152,7 @@ TEST(IncrementalEvaluator, PlanPatchingMovesUsersAcrossGroups) {
     }
   }
   store.sort_all();
-  IncrementalEvaluator inc(catalog, params, EvalMode::kIncremental);
+  ShardedEvaluator inc(catalog, params, EvalMode::kIncremental);
   inc.advance(store, kT0);
   EXPECT_EQ(inc.group_of(7), UserGroup::kBothInactive);  // fresh
 
@@ -251,71 +170,7 @@ TEST(IncrementalEvaluator, PlanPatchingMovesUsersAcrossGroups) {
   EXPECT_TRUE(inc.users()[7].op.active());
   EXPECT_EQ(inc.group_of(7), UserGroup::kOperationActiveOnly);
 
-  IncrementalEvaluator full(catalog, params, EvalMode::kFull);
-  full.advance(mirror, kT0 + 25 * kDay);
-  expect_same_plan(full.plan(), inc.plan());
-}
-
-TEST(IncrementalEvaluator, AutoModeBehavesIncrementally) {
-  const ActivityCatalog catalog = ActivityCatalog::paper_default();
-  const EvaluationParams params = params_for(
-      90, StaleHandling::kClampOldest, ExponentScheme::kPaperExponent);
-  ActivityStore store = random_store(3, 40);
-  IncrementalEvaluator pipeline(catalog, params);  // default: kAuto
-  EXPECT_EQ(pipeline.mode(), EvalMode::kAuto);
-  const AdvanceStats first = pipeline.advance(store, kT0);
-  EXPECT_TRUE(first.full_rebuild);
-  const AdvanceStats second = pipeline.advance(store, kT0 + 7 * kDay);
-  EXPECT_FALSE(second.full_rebuild);
-  EXPECT_GT(second.users_skipped, 0u);
-}
-
-TEST(IncrementalEvaluator, AutoModeFallsBackUnderSustainedChurnThenRecovers) {
-  const ActivityCatalog catalog = ActivityCatalog::paper_default();
-  const EvaluationParams params = params_for(
-      90, StaleHandling::kClampOldest, ExponentScheme::kPaperExponent);
-  constexpr std::size_t kUsers = 8;
-  ActivityStore store(kUsers, 2);
-  for (trace::UserId u = 0; u < kUsers; ++u) {
-    store.add(u, 0, Activity{kT0 - 30 * kDay, 5.0});
-  }
-  store.sort_all();
-
-  IncrementalEvaluator pipeline(catalog, params);  // default: kAuto
-  util::TimePoint t = kT0;
-  AdvanceStats stats = pipeline.advance(store, t);
-  EXPECT_TRUE(stats.full_rebuild);
-  EXPECT_FALSE(stats.auto_full);
-
-  // Storm: touch 6 of 8 users every trigger, holding the delta set at the
-  // rebuild threshold for kFallbackAfter consecutive advances.
-  for (int i = 0; i < IncrementalEvaluator::kFallbackAfter; ++i) {
-    t += 7 * kDay;
-    for (trace::UserId u = 0; u < 6; ++u) {
-      store.append(u, 0, Activity{t - kDay, 3.0});
-    }
-    stats = pipeline.advance(store, t);
-    EXPECT_FALSE(stats.full_rebuild) << "delta path during hot streak " << i;
-  }
-  EXPECT_TRUE(stats.auto_full) << "hysteresis should have tripped";
-  EXPECT_TRUE(pipeline.auto_full());
-
-  // Resolved to full: advances rebuild while the storm lasts, and a calm
-  // streak (1 of 8 dirty, under the quarter threshold) flips it back.
-  for (int i = 0; i < IncrementalEvaluator::kRecoverAfter; ++i) {
-    t += 7 * kDay;
-    store.append(0, 0, Activity{t - kDay, 1.0});
-    stats = pipeline.advance(store, t);
-    EXPECT_TRUE(stats.full_rebuild) << "resolved full during calm streak " << i;
-    EXPECT_EQ(stats.users_dirty, 1u);
-  }
-  EXPECT_FALSE(stats.auto_full) << "calm streak should have recovered";
-  EXPECT_FALSE(pipeline.auto_full());
-
-  // Next trigger is back on the delta path.
-  t += 7 * kDay;
-  stats = pipeline.advance(store, t);
-  EXPECT_FALSE(stats.full_rebuild);
+  expect_matches(reference_at(catalog, params, mirror, kT0 + 25 * kDay), inc);
 }
 
 TEST(IncrementalEvaluator, CappedWindowStaticGapFreezesUser) {
@@ -329,16 +184,12 @@ TEST(IncrementalEvaluator, CappedWindowStaticGapFreezesUser) {
   const EvaluationParams params = params_for(
       7, StaleHandling::kClampOldest, ExponentScheme::kPaperExponent, 6);
   ActivityStore store(1, 2);
-  ActivityStore mirror(1, 2);
   for (const int age_days : {41, 40, 39, 38, 3, 2, 1}) {
-    const Activity a{kT0 - age_days * kDay, 2.0};
-    store.add(0, 0, a);
-    mirror.add(0, 0, a);
+    store.add(0, 0, Activity{kT0 - age_days * kDay, 2.0});
   }
   store.sort_all();
-  mirror.sort_all();
 
-  IncrementalEvaluator inc(catalog, params, EvalMode::kIncremental);
+  ShardedEvaluator inc(catalog, params, EvalMode::kIncremental);
   inc.advance(store, kT0);
   EXPECT_TRUE(inc.users()[0].op.zero);  // the gap's empty period zeroes op
 
@@ -356,9 +207,7 @@ TEST(IncrementalEvaluator, CappedWindowStaticGapFreezesUser) {
     const util::TimePoint t = kT0 + days * kDay;
     stats = inc.advance(store, t);
     EXPECT_EQ(stats.users_reevaluated, 0u) << "at +" << days << "d";
-    IncrementalEvaluator full(catalog, params, EvalMode::kFull);
-    full.advance(mirror, t);
-    expect_same_plan(full.plan(), inc.plan());
+    expect_matches(reference_at(catalog, params, store, t), inc);
   }
 }
 
@@ -368,8 +217,8 @@ TEST(IncrementalEvaluator, SecondsAccumulatePerInstance) {
       90, StaleHandling::kClampOldest, ExponentScheme::kPaperExponent);
   ActivityStore a = random_store(1, 60);
   ActivityStore b = random_store(2, 60);
-  IncrementalEvaluator first(catalog, params);
-  IncrementalEvaluator second(catalog, params);
+  ShardedEvaluator first(catalog, params);
+  ShardedEvaluator second(catalog, params);
   first.advance(a, kT0);
   EXPECT_GT(first.seconds(), 0.0);
   EXPECT_EQ(second.seconds(), 0.0);  // untouched instance: no bleed-through

@@ -14,35 +14,12 @@
 #include <vector>
 
 #include "activeness/sharded.hpp"
-#include "util/rng.hpp"
+#include "reference.hpp"
 
 namespace adr::activeness {
 namespace {
 
-constexpr util::TimePoint kT0 = 1'700'000'000;
-constexpr util::Duration kDay = 86'400;
-
-void expect_same_rank(const Rank& a, const Rank& b, const char* what) {
-  EXPECT_EQ(a.has_data, b.has_data) << what;
-  EXPECT_EQ(a.zero, b.zero) << what;
-  EXPECT_EQ(a.log_phi, b.log_phi) << what;
-}
-
-void expect_same_activeness(const UserActiveness& a, const UserActiveness& b) {
-  EXPECT_EQ(a.user, b.user);
-  expect_same_rank(a.op, b.op, "op");
-  expect_same_rank(a.oc, b.oc, "oc");
-  EXPECT_EQ(a.last_activity, b.last_activity);
-}
-
-void expect_same_plan(const ScanPlan& a, const ScanPlan& b) {
-  for (std::size_t g = 0; g < kGroupCount; ++g) {
-    ASSERT_EQ(a.groups[g].size(), b.groups[g].size()) << "group " << g;
-    for (std::size_t i = 0; i < a.groups[g].size(); ++i) {
-      expect_same_activeness(a.groups[g][i], b.groups[g][i]);
-    }
-  }
-}
+using namespace oracle;
 
 /// Identical base population for the concurrent run and its serial replay.
 ActivityStore base_store(std::uint64_t seed, std::size_t users) {
@@ -138,7 +115,7 @@ TEST(ShardIngestQueues, WakeFilterSeesPendingIngest) {
   constexpr std::size_t kShards = 4;
   ActivityStore store = base_store(22, kUsers);
   const ActivityCatalog catalog = ActivityCatalog::paper_default();
-  ShardedEvaluator evaluator(catalog, short_params(), EvalMode::kAuto,
+  ShardedEvaluator evaluator(catalog, short_params(), EvalMode::kIncremental,
                              kShards);
   evaluator.advance(store, kT0);
   evaluator.advance(store, kT0 + kDay);
@@ -170,9 +147,9 @@ TEST(ShardIngestQueues, ConcurrentProducersMatchSerialReplay) {
   const ActivityCatalog catalog = ActivityCatalog::paper_default();
 
   ActivityStore store = base_store(44, kUsers);
-  ShardedEvaluator evaluator(catalog, short_params(), EvalMode::kAuto,
+  ShardedEvaluator evaluator(catalog, short_params(), EvalMode::kIncremental,
                              kShards);
-  // Warm start before producers exist: ensure_shards() re-buckets the
+  // Warm start before producers exist: the first advance re-buckets the
   // store single-threaded.
   evaluator.advance(store, kT0);
 
@@ -199,14 +176,8 @@ TEST(ShardIngestQueues, ConcurrentProducersMatchSerialReplay) {
 
   ActivityStore serial = base_store(44, kUsers);
   for (const Event& e : events) serial.append(e.user, e.type, e.activity);
-  ShardedEvaluator reference(catalog, short_params(), EvalMode::kFull, 1);
-  reference.advance(serial, final_now);
-
-  ASSERT_EQ(evaluator.users().size(), reference.users().size());
-  for (std::size_t u = 0; u < reference.users().size(); ++u) {
-    expect_same_activeness(evaluator.users()[u], reference.users()[u]);
-  }
-  expect_same_plan(evaluator.plan(), reference.plan());
+  expect_matches(reference_at(catalog, short_params(), serial, final_now),
+                 evaluator);
 }
 
 }  // namespace

@@ -1,82 +1,26 @@
-// Sharding invariance: splitting the incremental pipeline into user-range
-// shards must be invisible in every output — ranks, classifications, scan
-// plans, purge victims — across randomized timelines with streaming appends
-// and backwards-time rebuilds. Plus the sharded bookkeeping itself: the
-// partition map, the wake filter, and per-shard kAuto hysteresis.
+// Sharding invariance: splitting the pipeline into user-range segments must
+// be invisible in every output — ranks, classifications, scan plans, purge
+// victims — across randomized timelines with streaming appends and
+// backwards-time rebuilds, and in the metric names it reports. Plus the
+// sharded bookkeeping itself: the partition map and the wake filter.
 
 #include "activeness/sharded.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <set>
 #include <string>
 #include <vector>
 
 #include "obs/metrics.hpp"
+#include "reference.hpp"
 #include "retention/activedr_policy.hpp"
-#include "util/rng.hpp"
 
 namespace adr::activeness {
 namespace {
 
-constexpr util::TimePoint kT0 = 1'700'000'000;
-constexpr util::Duration kDay = 86'400;
-
-void expect_same_rank(const Rank& a, const Rank& b, const char* what) {
-  EXPECT_EQ(a.has_data, b.has_data) << what;
-  EXPECT_EQ(a.zero, b.zero) << what;
-  EXPECT_EQ(a.log_phi, b.log_phi) << what;
-}
-
-void expect_same_activeness(const UserActiveness& a, const UserActiveness& b) {
-  EXPECT_EQ(a.user, b.user);
-  expect_same_rank(a.op, b.op, "op");
-  expect_same_rank(a.oc, b.oc, "oc");
-  EXPECT_EQ(a.last_activity, b.last_activity);
-}
-
-void expect_same_plan(const ScanPlan& a, const ScanPlan& b) {
-  for (std::size_t g = 0; g < kGroupCount; ++g) {
-    ASSERT_EQ(a.groups[g].size(), b.groups[g].size()) << "group " << g;
-    for (std::size_t i = 0; i < a.groups[g].size(); ++i) {
-      EXPECT_EQ(a.groups[g][i].user, b.groups[g][i].user)
-          << "group " << g << " position " << i;
-      expect_same_activeness(a.groups[g][i], b.groups[g][i]);
-    }
-  }
-}
-
-/// A random population: most users sparse (many end up at Φ = 0 or fresh),
-/// a few dense enough to hold a positive rank.
-ActivityStore random_store(std::uint64_t seed, std::size_t users) {
-  ActivityStore store(users, 2);
-  util::Rng rng(seed);
-  for (trace::UserId u = 0; u < users; ++u) {
-    const double archetype = rng.uniform();
-    if (archetype < 0.15) continue;  // fresh: no activity at all
-    const bool dense = archetype > 0.8;
-    const int events = dense ? static_cast<int>(rng.uniform_int(30, 80))
-                             : static_cast<int>(rng.uniform_int(1, 6));
-    for (int e = 0; e < events; ++e) {
-      const util::TimePoint ts =
-          kT0 - static_cast<util::Duration>(rng.uniform(0, 700) * kDay);
-      const ActivityTypeId type = rng.uniform() < 0.7 ? 0 : 1;
-      store.add(u, type, Activity{ts, rng.uniform(0.1, 50.0)});
-    }
-  }
-  store.sort_all();
-  return store;
-}
-
-EvaluationParams params_for(int period_days, StaleHandling stale,
-                            ExponentScheme scheme, int max_periods = 0) {
-  EvaluationParams p;
-  p.period_length_days = period_days;
-  p.stale = stale;
-  p.scheme = scheme;
-  p.max_periods = max_periods;
-  return p;
-}
+using namespace oracle;
 
 TEST(ShardMap, PartitionsEveryUserExactlyOnce) {
   for (const std::size_t users : {1u, 3u, 10u, 97u, 1000u}) {
@@ -142,10 +86,10 @@ TEST(ShardMap, MoreShardsThanUsersLeavesTrailingShardsEmpty) {
   }
 }
 
-// The tentpole guarantee: for every shard count, the sharded pipeline's
-// users, groups, scan plan, and purge victims are element-for-element
-// identical to the single pipeline's — across 200 randomized timelines
-// mixing streaming appends, future-dated events, and backwards-time jumps.
+// The tentpole guarantee: for every shard count, the pipeline's users,
+// groups, scan plan, and purge victims are element-for-element identical to
+// the plain reference's — across 200 randomized timelines mixing streaming
+// appends, future-dated events, and backwards-time jumps.
 TEST(ShardedEvaluator, MatchesSinglePipelineAcrossShardCountsAndTimelines) {
   const ActivityCatalog catalog = ActivityCatalog::paper_default();
   constexpr std::size_t kUsers = 80;
@@ -159,9 +103,8 @@ TEST(ShardedEvaluator, MatchesSinglePipelineAcrossShardCountsAndTimelines) {
           seed % 3 == 0 ? StaleHandling::kDrop : StaleHandling::kClampOldest,
           ExponentScheme::kPaperExponent, seed % 3 == 0 ? 5 : 0);
       ActivityStore store = random_store(seed, kUsers);
-      ActivityStore mirror = random_store(seed, kUsers);
-      ShardedEvaluator sharded(catalog, params, EvalMode::kAuto, shards);
-      IncrementalEvaluator single(catalog, params, EvalMode::kAuto);
+      ShardedEvaluator sharded(catalog, params, EvalMode::kIncremental, shards);
+      Reference ref;
       util::Rng rng(seed * 7919 + shards);
       util::TimePoint t = kT0 - 200 * kDay;
       for (int trigger = 0; trigger < 8; ++trigger) {
@@ -184,22 +127,16 @@ TEST(ShardedEvaluator, MatchesSinglePipelineAcrossShardCountsAndTimelines) {
               10 * kDay;
           const Activity a{t + off, rng.uniform(0.5, 20.0)};
           store.append(user, type, a);
-          mirror.append(user, type, a);
         }
-        single.advance(mirror, t);
         sharded.advance(store, t);
-        ASSERT_EQ(sharded.users().size(), kUsers);
-        for (std::size_t u = 0; u < kUsers; ++u) {
-          expect_same_activeness(single.users()[u], sharded.users()[u]);
-          EXPECT_EQ(single.groups()[u], sharded.groups()[u]);
-        }
-        expect_same_plan(single.plan(), sharded.plan());
+        ref = reference_at(catalog, params, store, t);
+        expect_matches(ref, sharded);
       }
 
       // Purge-victim identity at the final instant: a dry run with a byte
       // target makes the victim list depend on scan order, not just on the
       // victim set.
-      fs::Vfs vfs_single, vfs_sharded;
+      fs::Vfs vfs_reference, vfs_sharded;
       util::Rng files(seed ^ 0xabc);
       for (trace::UserId u = 0; u < kUsers; ++u) {
         for (int f = 0; f < 2; ++f) {
@@ -213,16 +150,16 @@ TEST(ShardedEvaluator, MatchesSinglePipelineAcrossShardCountsAndTimelines) {
           meta.ctime = meta.atime;
           const std::string path =
               registry.home_dir(u) + "/f" + std::to_string(f);
-          vfs_single.create(path, meta);
+          vfs_reference.create(path, meta);
           vfs_sharded.create(path, meta);
         }
       }
       retention::ActiveDrConfig config;
       config.dry_run = true;
       const retention::ActiveDrPolicy policy(config, registry);
-      const std::uint64_t target = vfs_single.total_bytes() / 3;
+      const std::uint64_t target = vfs_reference.total_bytes() / 3;
       const retention::PurgeReport a =
-          policy.run(vfs_single, t, target, single.plan());
+          policy.run(vfs_reference, t, target, ref.plan);
       const retention::PurgeReport b =
           policy.run(vfs_sharded, t, target, sharded.plan());
       EXPECT_EQ(a.victim_paths, b.victim_paths)
@@ -239,7 +176,7 @@ TEST(ShardedEvaluator, WakesOnlyDirtyShards) {
       90, StaleHandling::kClampOldest, ExponentScheme::kPaperExponent);
   ActivityStore store(16, 2);  // everyone fresh: durable skips all around
   store.sort_all();
-  ShardedEvaluator sharded(catalog, params, EvalMode::kAuto, 4);
+  ShardedEvaluator sharded(catalog, params, EvalMode::kIncremental, 4);
   obs::Counter& advances =
       obs::MetricsRegistry::global().counter("shard.advances");
 
@@ -268,58 +205,47 @@ TEST(ShardedEvaluator, WakesOnlyDirtyShards) {
   EXPECT_EQ(sharded.group_of(9), UserGroup::kOperationActiveOnly);
 }
 
-TEST(ShardedEvaluator, PerShardAutoHysteresisIsolation) {
+/// Names of the activeness-layer counters and spans one scripted timeline
+/// reports at `shards` segments: a rebuild, a delta trigger with one
+/// streamed event, and a quiescent trigger. threadpool.* metrics are left
+/// out — they follow the thread count, not S.
+std::set<std::string> reported_names(std::size_t shards) {
+  auto& registry = obs::MetricsRegistry::global();
+  registry.reset();
   const ActivityCatalog catalog = ActivityCatalog::paper_default();
   const EvaluationParams params = params_for(
-      90, StaleHandling::kClampOldest, ExponentScheme::kPaperExponent);
-  // Shard 0 = users 0..3 (seeded, positive ranks); shard 1 = users 4..7
-  // (fresh, frozen after the first delta advance).
-  ActivityStore store(8, 2);
-  for (trace::UserId u = 0; u < 4; ++u) {
-    store.add(u, 0, Activity{kT0 - 30 * kDay, 5.0});
+      30, StaleHandling::kClampOldest, ExponentScheme::kPaperExponent);
+  ActivityStore store = random_store(7, 40);
+  ShardedEvaluator pipeline(catalog, params, EvalMode::kIncremental, shards);
+  pipeline.advance(store, kT0);
+  store.append(3, 0, Activity{kT0 + kDay, 2.0});
+  pipeline.advance(store, kT0 + 7 * kDay);
+  pipeline.advance(store, kT0 + 14 * kDay);
+
+  std::set<std::string> names;
+  const obs::MetricsSnapshot snap = registry.snapshot();
+  for (const auto& [name, value] : snap.counters) {
+    if (value > 0 && name.rfind("threadpool.", 0) != 0) names.insert(name);
   }
-  store.sort_all();
-  ShardedEvaluator sharded(catalog, params, EvalMode::kAuto, 2);
-  obs::Counter& fallbacks =
-      obs::MetricsRegistry::global().counter("incremental.auto_fallbacks");
-  const std::uint64_t before = fallbacks.value();
-
-  util::TimePoint t = kT0;
-  AdvanceStats stats = sharded.advance(store, t);
-  EXPECT_TRUE(stats.full_rebuild);
-
-  // Storm confined to shard 0: 3 of its 4 users churn every trigger,
-  // holding that shard at the rebuild threshold for kFallbackAfter
-  // consecutive delta advances. Shard 1 sees none of it.
-  for (int i = 0; i < IncrementalEvaluator::kFallbackAfter; ++i) {
-    t += 7 * kDay;
-    for (trace::UserId u = 0; u < 3; ++u) {
-      store.append(u, 0, Activity{t - kDay, 3.0});
+  for (const auto& [name, h] : snap.spans) {
+    if (h.count > 0 && name.rfind("threadpool.", 0) != 0) {
+      names.insert("span:" + name);
     }
-    stats = sharded.advance(store, t);
   }
-  EXPECT_TRUE(sharded.shard_auto_full(0)) << "hot shard should resolve full";
-  EXPECT_FALSE(sharded.shard_auto_full(1)) << "calm shard must stay delta";
-  EXPECT_TRUE(stats.auto_full);  // aggregate ORs the per-shard flags
-  EXPECT_EQ(fallbacks.value(), before + 1);
+  return names;
+}
 
-  // While shard 0 rides out its storm in full mode, a trickle in shard 1
-  // stays on the delta path — and the aggregate full_rebuild flag reports
-  // that *not* every shard rebuilt.
-  t += 7 * kDay;
-  store.append(5, 1, Activity{t - kDay, 1.0});
-  stats = sharded.advance(store, t);
-  EXPECT_TRUE(sharded.shard_stats(0).full_rebuild);
-  EXPECT_FALSE(sharded.shard_stats(1).full_rebuild);
-  EXPECT_FALSE(stats.full_rebuild);
-
-  // Calm streak (shard 0 sees zero dirty users) flips the hot shard back.
-  for (int i = 1; i < IncrementalEvaluator::kRecoverAfter; ++i) {
-    t += 7 * kDay;
-    store.append(5, 1, Activity{t - kDay, 1.0});
-    sharded.advance(store, t);
-  }
-  EXPECT_FALSE(sharded.shard_auto_full(0)) << "calm streak should recover";
+// The metrics contract does not depend on the shard count: the same
+// timeline reports the same span and counter names at S = 1 and S = 4,
+// including the rebuild's evaluator.evaluate_all span.
+TEST(ShardedEvaluator, SpanAndCounterNamesMatchAcrossShardCounts) {
+  const std::set<std::string> one = reported_names(1);
+  const std::set<std::string> four = reported_names(4);
+  EXPECT_EQ(one, four);
+  EXPECT_TRUE(one.count("span:evaluator.evaluate_all"));
+  EXPECT_TRUE(one.count("span:incremental.advance"));
+  EXPECT_TRUE(one.count("incremental.full_rebuilds"));
+  EXPECT_TRUE(one.count("shard.advances"));
 }
 
 TEST(ShardedEvaluator, DefaultShardCountTracksPoolAndCap) {

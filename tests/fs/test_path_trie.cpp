@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "util/rng.hpp"
 
@@ -81,6 +84,34 @@ TEST(PathTrie, EdgeCompressionKeepsNodeCountSmall) {
   // A second file splits the chain once: root + shared prefix + 2 leaves.
   t.insert("/very/deep/directory/other/file.dat", meta());
   EXPECT_EQ(t.node_count(), 4u);
+}
+
+TEST(PathTrie, SplittingAMiddleChildOfAWideNodeKeepsChildrenSorted) {
+  // Every user directory under /s is one compressed chain u<k>/d/f.dat;
+  // a second file in the middle user splits that chain in its parent's
+  // child slot. for_each walks children in slot order, so the visit order
+  // is the sorted path order exactly when the slots stay sorted.
+  PathTrie t;
+  std::vector<std::string> expected;
+  for (int k = 10; k < 30; ++k) {
+    const std::string path = "/s/u" + std::to_string(k) + "/d/f.dat";
+    t.insert(path, meta());
+    expected.push_back(path);
+  }
+  t.insert("/s/u20/e/g.dat", meta());
+  t.insert("/s/u10/c/h.dat", meta());  // split the first child too
+  t.insert("/s/u29/x/y.dat", meta());  // and the last
+  expected.insert(expected.end(),
+                  {"/s/u20/e/g.dat", "/s/u10/c/h.dat", "/s/u29/x/y.dat"});
+  std::sort(expected.begin(), expected.end());
+
+  std::vector<std::string> visited;
+  t.for_each([&](const std::string& p, const FileMeta&) {
+    visited.push_back(p);
+  });
+  EXPECT_EQ(visited, expected);
+  // Lookups binary-search the slots, so every path must still be found.
+  for (const std::string& p : expected) EXPECT_NE(t.find(p), nullptr) << p;
 }
 
 TEST(PathTrie, EraseRemergesChains) {
