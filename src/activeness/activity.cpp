@@ -510,10 +510,10 @@ void save_activities_csv(const std::string& path,
   util::io::AtomicWriter writer(path,
                                 {.fsync = util::io::default_fsync()});
   util::CsvWriter w(writer.stream());
-  w.write_row({"user", "timestamp", "impact"});
+  w.row("user", "timestamp", "impact");
   for (const auto& [user, activity] : activities) {
-    w.write_row({std::to_string(user), std::to_string(activity.timestamp),
-                 std::to_string(activity.impact)});
+    // Impacts keep std::to_string's fixed six decimals in this file.
+    w.row(user, activity.timestamp, std::to_string(activity.impact));
   }
   writer.commit();
 }

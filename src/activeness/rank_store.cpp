@@ -60,15 +60,15 @@ void RankStore::save_csv(const std::string& path) const {
   util::io::AtomicWriter writer(path,
                                 {.fsync = util::io::default_fsync()});
   util::CsvWriter w(writer.stream());
-  w.write_row({"user", "op_has_data", "op_zero", "op_log_phi", "oc_has_data",
-               "oc_zero", "oc_log_phi", "last_activity"});
+  w.row("user", "op_has_data", "op_zero", "op_log_phi", "oc_has_data",
+        "oc_zero", "oc_log_phi", "last_activity");
   for (const auto& ua : users_) {
-    w.write_row({std::to_string(ua.user), ua.op.has_data ? "1" : "0",
-                 ua.op.zero ? "1" : "0",
-                 std::to_string(static_cast<double>(ua.op.log_phi)),
-                 ua.oc.has_data ? "1" : "0", ua.oc.zero ? "1" : "0",
-                 std::to_string(static_cast<double>(ua.oc.log_phi)),
-                 std::to_string(ua.last_activity)});
+    // log_phi keeps std::to_string's fixed six decimals in this file.
+    w.row(ua.user, ua.op.has_data ? "1" : "0", ua.op.zero ? "1" : "0",
+          std::to_string(static_cast<double>(ua.op.log_phi)),
+          ua.oc.has_data ? "1" : "0", ua.oc.zero ? "1" : "0",
+          std::to_string(static_cast<double>(ua.oc.log_phi)),
+          ua.last_activity);
   }
   writer.commit();
 }

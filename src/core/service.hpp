@@ -176,7 +176,9 @@ class Service {
   /// snapshot.csv (Vfs export), meta.conf (applied seq, shape), MANIFEST
   /// last. A crash at any point leaves `dir` unsealed or stale — recovery
   /// skips it and falls back to an older checkpoint plus a longer WAL tail.
-  void save_checkpoint(const std::string& dir);
+  /// Every member streams from the store and the Vfs. Returns the sum of
+  /// the members' payload bytes.
+  std::uint64_t save_checkpoint(const std::string& dir);
 
   struct RestoreStatus {
     bool ok = false;

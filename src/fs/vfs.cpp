@@ -360,10 +360,32 @@ void Vfs::import_snapshot(const trace::Snapshot& snapshot) {
   }
 }
 
+void Vfs::visit_snapshot(
+    const std::function<void(const std::string&, const FileMeta&)>& fn) const {
+  trie_.for_each(fn);
+  for (std::size_t u = 0; u < residency_.size(); ++u) {
+    const UserResidency& res = residency_[u];
+    if (!res.evicted) continue;
+    const auto entries =
+        purge_index_.entries(static_cast<trace::UserId>(u));
+    for (std::size_t i = 0; i < entries.size(); ++i) {
+      FileMeta meta;
+      meta.owner = static_cast<trace::UserId>(u);
+      meta.size_bytes = entries[i].size_bytes;
+      meta.atime = entries[i].atime;
+      meta.path_id = entries[i].id;
+      meta.stripe_count = res.spill[i].stripe_count;
+      meta.ctime = res.spill[i].ctime;
+      meta.access_count = res.spill[i].access_count;
+      fn(purge_index_.path(entries[i].id), meta);
+    }
+  }
+}
+
 trace::Snapshot Vfs::export_snapshot() const {
   trace::Snapshot snap;
   snap.reserve(file_count());
-  trie_.for_each([&](const std::string& path, const FileMeta& meta) {
+  visit_snapshot([&](const std::string& path, const FileMeta& meta) {
     trace::SnapshotEntry e;
     e.path = path;
     e.owner = meta.owner;
@@ -372,21 +394,6 @@ trace::Snapshot Vfs::export_snapshot() const {
     e.atime = meta.atime;
     snap.add(std::move(e));
   });
-  for (std::size_t u = 0; u < residency_.size(); ++u) {
-    const UserResidency& res = residency_[u];
-    if (!res.evicted) continue;
-    const auto entries =
-        purge_index_.entries(static_cast<trace::UserId>(u));
-    for (std::size_t i = 0; i < entries.size(); ++i) {
-      trace::SnapshotEntry e;
-      e.path = purge_index_.path(entries[i].id);
-      e.owner = static_cast<trace::UserId>(u);
-      e.stripe_count = res.spill[i].stripe_count;
-      e.size_bytes = entries[i].size_bytes;
-      e.atime = entries[i].atime;
-      snap.add(std::move(e));
-    }
-  }
   return snap;
 }
 

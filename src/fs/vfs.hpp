@@ -196,8 +196,16 @@ class Vfs {
   /// (EmulatorConfig::audit_purge_index), and `purge --check-index`.
   bool verify_purge_index(std::string* error = nullptr) const;
 
+  /// Visit every file, resident or evicted: the resident trie in
+  /// for_each() order first, then evicted users in id order, each in its
+  /// spill-record order. Evicted files are rebuilt from the purge index +
+  /// spill records, so nothing faults. This is export_snapshot()'s order;
+  /// checkpoints stream snapshot.csv straight from it.
+  void visit_snapshot(
+      const std::function<void(const std::string&, const FileMeta&)>& fn) const;
+
   /// Seed from / export to a metadata snapshot. Export covers evicted files
-  /// too (reconstructed from the index + spill records).
+  /// too (built on visit_snapshot()).
   void import_snapshot(const trace::Snapshot& snapshot);
   trace::Snapshot export_snapshot() const;
 

@@ -220,11 +220,19 @@ std::string Daemon::save_checkpoint_now() {
       checkpoints_dir() + "/" + checkpoint_name(service_.last_applied_seq());
   // Transient write faults retry in place; crashes and corruption surface
   // (the whole bundle re-commits atomically on a retried attempt).
+  const auto begin = std::chrono::steady_clock::now();
+  std::uint64_t bytes = 0;
   util::retry_io("serve.checkpoint", options_.io_retry,
-                 [&] { service_.save_checkpoint(dir); });
+                 [&] { bytes = service_.save_checkpoint(dir); });
   events_since_checkpoint_ = 0;
-  obs::MetricsRegistry::global()
-      .gauge("serve.checkpoint_seq")
+  auto& metrics = obs::MetricsRegistry::global();
+  metrics.histogram("serve.checkpoint_seconds")
+      .observe(std::chrono::duration<double>(
+                   std::chrono::steady_clock::now() - begin)
+                   .count());
+  metrics.gauge("serve.checkpoint_bytes")
+      .set(static_cast<std::int64_t>(bytes));
+  metrics.gauge("serve.checkpoint_seq")
       .set(static_cast<std::int64_t>(service_.last_applied_seq()));
   prune_checkpoints();
   return dir;

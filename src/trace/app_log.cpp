@@ -42,11 +42,11 @@ void AppLog::save_csv(const std::string& path) const {
   util::io::AtomicWriter writer(path,
                                 {.fsync = util::io::default_fsync()});
   util::CsvWriter w(writer.stream());
-  w.write_row({"user", "timestamp", "op", "path", "size", "stripes"});
+  w.row("user", "timestamp", "op", "path", "size", "stripes");
   for (const auto& e : entries_) {
-    w.write_row({std::to_string(e.user), std::to_string(e.timestamp),
-                 e.op == trace::FileOp::kCreate ? "create" : "access", e.path,
-                 std::to_string(e.size_bytes), std::to_string(e.stripe_count)});
+    w.row(e.user, e.timestamp,
+          e.op == trace::FileOp::kCreate ? "create" : "access", e.path,
+          e.size_bytes, e.stripe_count);
   }
   writer.commit();
 }

@@ -45,11 +45,9 @@ void JobLog::save_csv(const std::string& path) const {
   util::io::AtomicWriter writer(path,
                                 {.fsync = util::io::default_fsync()});
   util::CsvWriter w(writer.stream());
-  w.write_row({"job_id", "user", "submit_time", "duration_s", "cores"});
+  w.row("job_id", "user", "submit_time", "duration_s", "cores");
   for (const auto& r : records_) {
-    w.write_row({std::to_string(r.job_id), std::to_string(r.user),
-                 std::to_string(r.submit_time),
-                 std::to_string(r.duration_seconds), std::to_string(r.cores)});
+    w.row(r.job_id, r.user, r.submit_time, r.duration_seconds, r.cores);
   }
   writer.commit();
 }

@@ -26,15 +26,14 @@ void PublicationLog::save_csv(const std::string& path) const {
   util::io::AtomicWriter writer(path,
                                 {.fsync = util::io::default_fsync()});
   util::CsvWriter w(writer.stream());
-  w.write_row({"pub_id", "published", "citations", "authors"});
+  w.row("pub_id", "published", "citations", "authors");
   for (const auto& r : records_) {
     std::string authors;
     for (std::size_t i = 0; i < r.authors.size(); ++i) {
       if (i) authors.push_back(';');
       authors += std::to_string(r.authors[i]);
     }
-    w.write_row({std::to_string(r.pub_id), std::to_string(r.published),
-                 std::to_string(r.citations), authors});
+    w.row(r.pub_id, r.published, r.citations, authors);
   }
   writer.commit();
 }

@@ -74,12 +74,23 @@ void Snapshot::save_csv(const std::string& path) const {
     util::io::commit_tmp(tmp, path, util::io::default_fsync());
     return;
   }
-  util::io::AtomicWriter writer(path,
-                                {.fsync = util::io::default_fsync()});
-  util::CsvWriter w(writer.stream());
-  w.write_row(kHeader);
-  for (const auto& e : entries_) w.write_row(entry_row(e));
+  SnapshotCsvWriter writer(path);
+  for (const auto& e : entries_) {
+    writer.add(e.path, e.owner, e.stripe_count, e.size_bytes, e.atime);
+  }
   writer.commit();
+}
+
+SnapshotCsvWriter::SnapshotCsvWriter(const std::string& path)
+    : writer_(path, {.fsync = util::io::default_fsync()}),
+      csv_(writer_.stream()) {
+  csv_.write_row(kHeader);
+}
+
+void SnapshotCsvWriter::add(std::string_view path, UserId owner,
+                            std::int32_t stripe_count,
+                            std::uint64_t size_bytes, util::TimePoint atime) {
+  csv_.row(path, owner, stripe_count, size_bytes, atime);
 }
 
 Snapshot Snapshot::load_csv(const std::string& path,

@@ -3,10 +3,14 @@
 // A snapshot is a flat list of SnapshotEntry persisted as CSV; the Vfs can
 // import/export one (fs/vfs.hpp), which is how emulation runs are seeded.
 
+#include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "trace/types.hpp"
+#include "util/csv.hpp"
+#include "util/io.hpp"
 #include "util/parse.hpp"
 
 namespace adr::trace {
@@ -31,6 +35,21 @@ class Snapshot {
 
  private:
   std::vector<SnapshotEntry> entries_;
+};
+
+/// Streams a plain (non-gzip) snapshot CSV in the save_csv format, one entry
+/// at a time, through an AtomicWriter — for callers that never materialize
+/// a Snapshot (the checkpoint streams the Vfs straight into one).
+class SnapshotCsvWriter {
+ public:
+  explicit SnapshotCsvWriter(const std::string& path);
+  void add(std::string_view path, UserId owner, std::int32_t stripe_count,
+           std::uint64_t size_bytes, util::TimePoint atime);
+  void commit() { writer_.commit(); }
+
+ private:
+  util::io::AtomicWriter writer_;
+  util::CsvWriter csv_;
 };
 
 /// Sharded snapshots: the paper's metadata dumps are a *series* of gzipped

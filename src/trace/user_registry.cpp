@@ -48,10 +48,8 @@ void UserRegistry::save_csv(const std::string& path) const {
   util::io::AtomicWriter writer(path,
                                 {.fsync = util::io::default_fsync()});
   util::CsvWriter w(writer.stream());
-  w.write_row({"user", "name"});
-  for (std::size_t i = 0; i < names_.size(); ++i) {
-    w.write_row({std::to_string(i), names_[i]});
-  }
+  w.row("user", "name");
+  for (std::size_t i = 0; i < names_.size(); ++i) w.row(i, names_[i]);
   writer.commit();
 }
 

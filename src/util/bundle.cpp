@@ -25,8 +25,8 @@ std::string hex8(std::uint32_t v) {
 
 }  // namespace
 
-void commit_bundle(const std::string& dir,
-                   const std::vector<std::string>& member_names) {
+std::vector<BundleMember> commit_bundle(
+    const std::string& dir, const std::vector<std::string>& member_names) {
   const std::string manifest_path =
       dir + "/" + kBundleManifestName;
   // Drop any stale manifest *before* touching members: from here until the
@@ -39,26 +39,24 @@ void commit_bundle(const std::string& dir,
   members.reserve(member_names.size());
   for (const auto& name : member_names) {
     FaultInjector::global().crash_point("bundle.member");
-    const Artifact artifact = read_artifact(dir + "/" + name);
+    // Re-read from disk: the read-back, not the writer's running CRC, is
+    // what vouches for the member.
+    const Artifact artifact = digest_artifact(dir + "/" + name);
     if (artifact.state == ArtifactState::kCorrupt) {
       throw std::runtime_error("commit_bundle: member " + name +
                                " failed verification: " + artifact.error);
     }
-    Crc32 crc;
-    crc.update(artifact.content);
-    members.push_back({name, crc.value(),
-                       static_cast<std::uint64_t>(artifact.content.size())});
+    members.push_back({name, artifact.crc32, artifact.bytes});
   }
 
   FaultInjector::global().crash_point("bundle.pre_manifest");
   AtomicWriter writer(manifest_path, {.fsync = default_fsync()});
   CsvWriter w(writer.stream());
-  w.write_row({"member", "crc32", "bytes"});
-  for (const auto& m : members) {
-    w.write_row({m.name, hex8(m.crc32), std::to_string(m.bytes)});
-  }
+  w.row("member", "crc32", "bytes");
+  for (const auto& m : members) w.row(m.name, hex8(m.crc32), m.bytes);
   writer.commit();
   obs::MetricsRegistry::global().counter("bundle.commits").add();
+  return members;
 }
 
 BundleCheck verify_bundle(const std::string& dir) {
@@ -119,7 +117,7 @@ BundleCheck verify_bundle(const std::string& dir) {
     }
     Artifact artifact;
     try {
-      artifact = read_artifact(path);
+      artifact = digest_artifact(path);
     } catch (const std::exception& e) {
       return invalid("member " + m.name + " unreadable: " + e.what());
     }
@@ -127,17 +125,15 @@ BundleCheck verify_bundle(const std::string& dir) {
       return invalid("member " + m.name +
                      " failed verification: " + artifact.error);
     }
-    if (artifact.content.size() != m.bytes) {
+    if (artifact.bytes != m.bytes) {
       return invalid("member " + m.name + " is " +
-                     std::to_string(artifact.content.size()) +
+                     std::to_string(artifact.bytes) +
                      " payload bytes, manifest says " +
                      std::to_string(m.bytes));
     }
-    Crc32 crc;
-    crc.update(artifact.content);
-    if (crc.value() != m.crc32) {
-      return invalid("member " + m.name + " payload crc " + hex8(crc.value()) +
-                     " != manifest " + hex8(m.crc32));
+    if (artifact.crc32 != m.crc32) {
+      return invalid("member " + m.name + " payload crc " +
+                     hex8(artifact.crc32) + " != manifest " + hex8(m.crc32));
     }
   }
   check.state = BundleState::kValid;

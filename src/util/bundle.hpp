@@ -46,9 +46,10 @@ struct BundleMember {
 /// is removed first (a crash can then never pair an old manifest with new
 /// members), each member is read back and its payload CRC recorded, and
 /// the manifest is committed last. Throws std::runtime_error if a member
-/// is missing or fails its own footer verification.
-void commit_bundle(const std::string& dir,
-                   const std::vector<std::string>& member_names);
+/// is missing or fails its own footer verification. Returns the manifest
+/// rows as committed.
+std::vector<BundleMember> commit_bundle(
+    const std::string& dir, const std::vector<std::string>& member_names);
 
 enum class BundleState {
   kValid,      ///< manifest verifies and every member matches it

@@ -40,24 +40,33 @@ std::vector<std::string> csv_split(const std::string& line, char sep) {
   return fields;
 }
 
+namespace {
+
+/// The one quoting rule: a field holding the separator, a quote or a
+/// newline is quoted, with embedded quotes doubled.
+void append_field(std::string& out, std::string_view f, char sep) {
+  const bool needs_quote = f.find(sep) != std::string_view::npos ||
+                           f.find('"') != std::string_view::npos ||
+                           f.find('\n') != std::string_view::npos;
+  if (!needs_quote) {
+    out += f;
+    return;
+  }
+  out.push_back('"');
+  for (char c : f) {
+    if (c == '"') out += "\"\"";
+    else out.push_back(c);
+  }
+  out.push_back('"');
+}
+
+}  // namespace
+
 std::string csv_join(const std::vector<std::string>& fields, char sep) {
   std::string out;
   for (std::size_t i = 0; i < fields.size(); ++i) {
     if (i) out.push_back(sep);
-    const std::string& f = fields[i];
-    const bool needs_quote =
-        f.find(sep) != std::string::npos || f.find('"') != std::string::npos ||
-        f.find('\n') != std::string::npos;
-    if (!needs_quote) {
-      out += f;
-    } else {
-      out.push_back('"');
-      for (char c : f) {
-        if (c == '"') out += "\"\"";
-        else out.push_back(c);
-      }
-      out.push_back('"');
-    }
+    append_field(out, fields[i], sep);
   }
   return out;
 }
@@ -93,9 +102,35 @@ std::size_t CsvReader::column(const std::string& name) const {
 CsvWriter::CsvWriter(std::ostream& out, char sep) : out_(out), sep_(sep) {}
 
 void CsvWriter::write_row(const std::vector<std::string>& fields) {
+  begin_row();
+  for (const auto& f : fields) put(f);
+  end_row();
+}
+
+void CsvWriter::begin_row() {
   auto& inj = FaultInjector::global();
   if (inj.armed()) inj.crash_point("csv.row");
-  out_ << csv_join(fields, sep_) << '\n';
+  row_.clear();
+  first_ = true;
+}
+
+void CsvWriter::end_row() {
+  row_.push_back('\n');
+  out_.write(row_.data(), static_cast<std::streamsize>(row_.size()));
+}
+
+void CsvWriter::put(std::string_view field) {
+  separate();
+  append_field(row_, field, sep_);
+}
+
+void CsvWriter::put(double value) {
+  separate();
+  // to_chars(general, 17) is specified as printf("%.17g") in the C locale.
+  char buf[32];
+  const auto res = std::to_chars(buf, buf + sizeof(buf), value,
+                                 std::chars_format::general, 17);
+  row_.append(buf, res.ptr);
 }
 
 }  // namespace adr::util

@@ -5,9 +5,12 @@
 // persist as CSV so a reproduction run can be driven either from synthesized
 // traces or from site-local logs exported in the same shape.
 
+#include <charconv>
 #include <iosfwd>
 #include <optional>
 #include <string>
+#include <string_view>
+#include <type_traits>
 #include <vector>
 
 namespace adr::util {
@@ -53,15 +56,50 @@ class CsvReader {
   std::string raw_;
 };
 
-/// Streaming writer. Fault point: csv.row (crash before the Nth row).
+/// Streaming writer. Each row is formatted into one reused buffer and handed
+/// to the stream in one write. Fault point: csv.row (crash before the Nth
+/// row, header included).
 class CsvWriter {
  public:
   explicit CsvWriter(std::ostream& out, char sep = ',');
+
+  /// Write one row of typed fields. Strings are quoted as csv_join quotes
+  /// them, integers print as std::to_string prints them, and doubles print
+  /// with 17 significant digits, as printf("%.17g") does.
+  template <typename... Fields>
+  void row(const Fields&... fields) {
+    begin_row();
+    (put(fields), ...);
+    end_row();
+  }
+
+  /// The same row from preformatted fields.
   void write_row(const std::vector<std::string>& fields);
 
  private:
+  void begin_row();
+  void end_row();
+  void separate() {
+    if (!first_) row_.push_back(sep_);
+    first_ = false;
+  }
+  void put(std::string_view field);
+  void put(const std::string& field) { put(std::string_view(field)); }
+  void put(const char* field) { put(std::string_view(field)); }
+  void put(double value);
+  template <typename T>
+    requires(std::is_integral_v<T> && !std::is_same_v<T, bool>)
+  void put(T value) {
+    separate();
+    char buf[24];
+    const auto res = std::to_chars(buf, buf + sizeof(buf), value);
+    row_.append(buf, res.ptr);
+  }
+
   std::ostream& out_;
   char sep_;
+  std::string row_;
+  bool first_ = true;
 };
 
 }  // namespace adr::util

@@ -4,13 +4,17 @@
 #include <unistd.h>
 #include <zlib.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <ostream>
+#include <optional>
 #include <streambuf>
+#include <string_view>
+#include <vector>
 
 #include "obs/metrics.hpp"
 #include "util/fault.hpp"
@@ -74,39 +78,61 @@ void fsync_path(const std::string& path, bool directory) {
   }
 }
 
-/// Streambuf that forwards payload bytes to a destination buffer while
-/// tracking CRC/length and honouring short-write/ENOSPC fault directives.
+/// Streambuf that buffers payload bytes in a fixed put area and drains them
+/// to a destination buffer, tracking CRC/length and honouring
+/// short-write/ENOSPC fault directives once per drained chunk. Fault offsets
+/// stay exact: a directive at byte N lets exactly N payload bytes through
+/// whatever the chunking.
 class FaultCrcBuf final : public std::streambuf {
  public:
   FaultCrcBuf(std::streambuf* dest, const char* point)
-      : dest_(dest), point_(point) {}
+      : dest_(dest), point_(point), area_(new char[kIoChunkBytes]) {
+    setp(area_.get(), area_.get() + kIoChunkBytes);
+  }
 
-  std::uint64_t bytes() const { return bytes_; }
-  std::uint32_t crc() const { return crc_.value(); }
+  /// Payload bytes accepted so far, drained or still buffered.
+  std::uint64_t bytes() const { return bytes_ + pending(); }
+  std::uint32_t crc() const {
+    Crc32 crc = crc_;
+    crc.update(pbase(), pending());
+    return crc.value();
+  }
   bool failed() const { return failed_; }
   bool enospc() const { return enospc_; }
 
  protected:
   int overflow(int ch) override {
-    if (traits_type::eq_int_type(ch, traits_type::eof())) return 0;
-    const char c = traits_type::to_char_type(ch);
-    return put(&c, 1) == 1 ? ch : traits_type::eof();
+    if (!drain()) return traits_type::eof();
+    if (traits_type::eq_int_type(ch, traits_type::eof())) {
+      return traits_type::not_eof(ch);
+    }
+    *pptr() = traits_type::to_char_type(ch);
+    pbump(1);
+    return ch;
   }
 
-  std::streamsize xsputn(const char* s, std::streamsize n) override {
-    return put(s, n);
-  }
-
-  int sync() override { return dest_->pubsync(); }
+  int sync() override { return drain() ? dest_->pubsync() : -1; }
 
  private:
-  std::streamsize put(const char* s, std::streamsize n) {
-    if (failed_) return 0;
-    std::size_t allow = static_cast<std::size_t>(n);
+  std::size_t pending() const {
+    return static_cast<std::size_t>(pptr() - pbase());
+  }
+
+  /// Hand the put area to the destination; false once the stream failed.
+  bool drain() {
+    const std::size_t n = pending();
+    if (!failed_ && n > 0) write_chunk(area_.get(), n);
+    // A failed stream keeps no put area: every later write overflows and
+    // fails at once.
+    setp(area_.get(), area_.get() + (failed_ ? 0 : kIoChunkBytes));
+    return !failed_;
+  }
+
+  void write_chunk(const char* s, std::size_t n) {
+    std::size_t allow = n;
     auto& inj = FaultInjector::global();
     if (inj.armed()) {
-      const auto decision =
-          inj.on_write(point_, bytes_, static_cast<std::size_t>(n));
+      const auto decision = inj.on_write(point_, bytes_, n);
       if (decision.fail) {
         failed_ = true;
         enospc_ = decision.enospc;
@@ -120,17 +146,183 @@ class FaultCrcBuf final : public std::streambuf {
       bytes_ += static_cast<std::uint64_t>(written);
     }
     if (written < static_cast<std::streamsize>(allow)) failed_ = true;
-    // Report the partial count so the ostream sets badbit at the fault.
-    return failed_ ? written : n;
   }
 
   std::streambuf* dest_;
   const char* point_;
-  Crc32 crc_;
-  std::uint64_t bytes_ = 0;
+  std::unique_ptr<char[]> area_;
+  Crc32 crc_;             // over drained bytes
+  std::uint64_t bytes_ = 0;  // drained bytes
   bool failed_ = false;
   bool enospc_ = false;
 };
+
+/// Fill `out[0, n)` from `offset` of `in`; throws on a short read.
+void read_at(std::ifstream& in, const std::string& path, char* out,
+             std::size_t n, std::uint64_t offset) {
+  in.seekg(static_cast<std::streamoff>(offset));
+  in.read(out, static_cast<std::streamsize>(n));
+  if (!in || static_cast<std::size_t>(in.gcount()) != n) {
+    throw std::runtime_error("io: cannot read " + path);
+  }
+}
+
+bool has_footer_prefix(std::string_view line) {
+  return line.substr(0, sizeof(kFooterPrefix) - 1) == kFooterPrefix;
+}
+
+/// Where the payload ends, once the footer line (if any) is found.
+struct PayloadSplit {
+  std::uint64_t payload_end = 0;  // bytes covered by the CRC pass
+  bool footer = false;            // last non-empty line carries the prefix
+  std::string footer_line;        // that line, when `footer`
+};
+
+/// Locate the last non-empty line of a plain file by reading backwards from
+/// its tail in chunks: normally one small read, whatever the file size.
+PayloadSplit split_plain(std::ifstream& in, const std::string& path,
+                         std::uint64_t size) {
+  PayloadSplit split;
+  split.payload_end = size;
+  std::vector<char> block(std::min<std::uint64_t>(size, kIoChunkBytes));
+  std::uint64_t end = 0;    // one past the last byte that is not '\n'
+  std::uint64_t begin = 0;  // start of the line that ends at `end`
+  bool in_line = false;
+  std::uint64_t hi = size;
+  bool found = false;
+  while (hi > 0 && !found) {
+    const std::uint64_t lo = hi > block.size() ? hi - block.size() : 0;
+    read_at(in, path, block.data(), static_cast<std::size_t>(hi - lo), lo);
+    for (std::uint64_t i = hi; i > lo; --i) {
+      const char c = block[static_cast<std::size_t>(i - 1 - lo)];
+      if (!in_line) {
+        if (c == '\n') continue;
+        end = i;
+        in_line = true;
+      } else if (c == '\n') {
+        begin = i;
+        found = true;
+        break;
+      }
+    }
+    hi = lo;
+  }
+  if (!in_line) return split;  // empty, or nothing but newlines
+  char prefix[sizeof(kFooterPrefix) - 1];
+  if (end - begin < sizeof(prefix)) return split;
+  read_at(in, path, prefix, sizeof(prefix), begin);
+  if (!has_footer_prefix(std::string_view(prefix, sizeof(prefix)))) {
+    return split;
+  }
+  split.footer = true;
+  split.payload_end = begin;
+  split.footer_line.resize(static_cast<std::size_t>(end - begin));
+  read_at(in, path, split.footer_line.data(), split.footer_line.size(),
+          begin);
+  return split;
+}
+
+/// The one streaming verifier behind read_artifact and digest_artifact: find
+/// the footer at the tail, then make one CRC pass over the payload in
+/// bounded chunks, keeping the bytes only when `content` is given.
+Artifact scan_artifact(const std::string& path, ReadOptions opts,
+                       std::string* content) {
+  Artifact artifact;
+  Crc32 crc;
+  std::uint64_t bytes = 0;
+  PayloadSplit split;
+  if (has_gz_suffix(path)) {
+    // Gzip artifacts are verified over their decompressed lines. A footer
+    // candidate line is held back until a later non-empty line proves it
+    // is payload; every other line goes straight into the CRC.
+    GzReader in(path);  // throws if unopenable
+    const auto emit = [&](std::string_view text) {
+      crc.update(text.data(), text.size());
+      bytes += text.size();
+      if (content) content->append(text);
+    };
+    std::optional<std::string> held;
+    std::size_t held_newlines = 0;
+    while (auto line = in.next_line()) {
+      if (line->empty()) {
+        if (held) {
+          ++held_newlines;
+        } else {
+          emit("\n");
+        }
+        continue;
+      }
+      if (held) {
+        emit(*held);
+        emit("\n");
+        for (; held_newlines > 0; --held_newlines) emit("\n");
+        held.reset();
+      }
+      if (has_footer_prefix(*line)) {
+        held = std::move(*line);
+      } else {
+        emit(*line);
+        emit("\n");
+      }
+    }
+    if (held) {
+      split.footer = true;
+      split.footer_line = std::move(*held);
+    }
+  } else {
+    std::ifstream in(path, std::ios::binary | std::ios::ate);
+    if (!in) throw std::runtime_error("io: cannot open " + path);
+    split = split_plain(in, path, static_cast<std::uint64_t>(in.tellg()));
+    if (split.footer || !opts.require_footer) {
+      // Chunks land in `content` when the caller keeps the payload, else in
+      // one reused buffer.
+      std::vector<char> chunk(content ? 0 : kIoChunkBytes);
+      if (content) content->resize(static_cast<std::size_t>(split.payload_end));
+      for (std::uint64_t off = 0; off < split.payload_end;) {
+        const auto n = static_cast<std::size_t>(
+            std::min<std::uint64_t>(kIoChunkBytes, split.payload_end - off));
+        char* dst = content ? content->data() + off : chunk.data();
+        read_at(in, path, dst, n, off);
+        crc.update(dst, n);
+        off += n;
+      }
+      bytes = split.payload_end;
+    }
+  }
+  artifact.crc32 = crc.value();
+  artifact.bytes = bytes;
+
+  const auto corrupt = [&](std::string error) {
+    artifact.state = ArtifactState::kCorrupt;
+    artifact.error = std::move(error);
+    if (content) content->clear();
+    return artifact;
+  };
+  if (!split.footer) {
+    if (opts.require_footer) {
+      return corrupt("missing required #ADRCRC footer");
+    }
+    artifact.state = ArtifactState::kLegacy;
+    return artifact;
+  }
+  std::uint32_t expect_crc = 0;
+  std::uint64_t expect_bytes = 0;
+  if (!parse_footer(split.footer_line, expect_crc, expect_bytes)) {
+    return corrupt("unparseable #ADRCRC footer: " + split.footer_line);
+  }
+  if (bytes != expect_bytes) {
+    return corrupt("payload length " + std::to_string(bytes) +
+                   " != footer bytes " + std::to_string(expect_bytes));
+  }
+  if (artifact.crc32 != expect_crc) {
+    char buf[64];
+    std::snprintf(buf, sizeof(buf), "crc32 %08x != footer %08x",
+                  artifact.crc32, expect_crc);
+    return corrupt(buf);
+  }
+  artifact.state = ArtifactState::kVerified;
+  return artifact;
+}
 
 }  // namespace
 
@@ -228,67 +420,14 @@ void AtomicWriter::commit() {
 }
 
 Artifact read_artifact(const std::string& path, ReadOptions opts) {
-  Artifact artifact;
   std::string content;
-  if (has_gz_suffix(path)) {
-    GzReader in(path);  // throws if unopenable
-    while (auto line = in.next_line()) {
-      content += *line;
-      content.push_back('\n');
-    }
-  } else {
-    std::ifstream in(path, std::ios::binary);
-    if (!in) throw std::runtime_error("io: cannot open " + path);
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    content = buf.str();
-  }
-
-  // The footer, if any, is the last non-empty line.
-  std::size_t end = content.size();
-  while (end > 0 && content[end - 1] == '\n') --end;
-  const std::size_t line_start = content.rfind('\n', end ? end - 1 : 0);
-  const std::size_t begin = line_start == std::string::npos ? 0 : line_start + 1;
-  const std::string last = content.substr(begin, end - begin);
-
-  if (last.compare(0, sizeof(kFooterPrefix) - 1, kFooterPrefix) != 0) {
-    artifact.state = ArtifactState::kLegacy;
-    artifact.content = std::move(content);
-    if (opts.require_footer) {
-      artifact.state = ArtifactState::kCorrupt;
-      artifact.error = "missing required #ADRCRC footer";
-      artifact.content.clear();
-    }
-    return artifact;
-  }
-
-  std::uint32_t expect_crc = 0;
-  std::uint64_t expect_bytes = 0;
-  if (!parse_footer(last, expect_crc, expect_bytes)) {
-    artifact.state = ArtifactState::kCorrupt;
-    artifact.error = "unparseable #ADRCRC footer: " + last;
-    return artifact;
-  }
-  const std::string payload = content.substr(0, begin);
-  if (payload.size() != expect_bytes) {
-    artifact.state = ArtifactState::kCorrupt;
-    artifact.error = "payload length " + std::to_string(payload.size()) +
-                     " != footer bytes " + std::to_string(expect_bytes);
-    return artifact;
-  }
-  Crc32 crc;
-  crc.update(payload);
-  if (crc.value() != expect_crc) {
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "crc32 %08x != footer %08x", crc.value(),
-                  expect_crc);
-    artifact.state = ArtifactState::kCorrupt;
-    artifact.error = buf;
-    return artifact;
-  }
-  artifact.state = ArtifactState::kVerified;
-  artifact.content = std::move(payload);
+  Artifact artifact = scan_artifact(path, opts, &content);
+  artifact.content = std::move(content);
   return artifact;
+}
+
+Artifact digest_artifact(const std::string& path, ReadOptions opts) {
+  return scan_artifact(path, opts, nullptr);
 }
 
 std::string quarantine(const std::string& path, const std::string& reason) {

@@ -44,6 +44,9 @@ class Crc32 {
 };
 
 inline constexpr char kFooterPrefix[] = "#ADRCRC";
+/// Chunk size of artifact IO: AtomicWriter's put area and the verifier's
+/// read size (DESIGN.md §10.1, §10.5).
+inline constexpr std::size_t kIoChunkBytes = 64 * 1024;
 inline constexpr int kFooterVersion = 1;
 
 std::string make_footer(std::uint32_t crc, std::uint64_t payload_bytes);
@@ -69,7 +72,10 @@ bool default_fsync();
 /// write()/write_line()), then commit(); the target file is replaced only
 /// inside commit(), via rename. If the writer is destroyed uncommitted the
 /// temp file is removed — unless a fault-injected crash is in flight, in
-/// which case it is left behind exactly as a real crash would leave it.
+/// which case it is left behind exactly as a real crash would leave it
+/// (holding the payload drained so far: the stream buffers kIoChunkBytes,
+/// and CRC, length and io.atomic.write faults apply per drained chunk at
+/// exact byte offsets).
 ///
 /// Fault points: io.atomic.open, io.atomic.write, io.atomic.pre_commit,
 /// io.atomic.pre_rename, io.atomic.post_rename.
@@ -93,6 +99,7 @@ class AtomicWriter {
 
   const std::string& path() const { return path_; }
   const std::string& tmp_path() const { return tmp_path_; }
+  /// Payload length and CRC so far, buffered bytes included.
   std::uint64_t payload_bytes() const;
   std::uint32_t payload_crc() const;
 
@@ -116,8 +123,10 @@ enum class ArtifactState {
 
 struct Artifact {
   ArtifactState state = ArtifactState::kLegacy;
-  std::string content;  // payload with the footer line stripped
-  std::string error;    // set when state == kCorrupt
+  std::string content;     // payload with the footer line stripped
+  std::string error;       // set when state == kCorrupt
+  std::uint32_t crc32 = 0; // CRC of the payload (gzip: decompressed)
+  std::uint64_t bytes = 0; // payload length
 };
 
 struct ReadOptions {
@@ -125,9 +134,15 @@ struct ReadOptions {
 };
 
 /// Read a whole artifact (gzip-transparent by ".gz" suffix) and verify its
-/// footer if present. Throws std::runtime_error only when the file cannot
+/// footer if present: the footer is found at the tail, then one CRC pass
+/// reads the payload. Throws std::runtime_error only when the file cannot
 /// be opened; corruption is reported in the return value.
 Artifact read_artifact(const std::string& path, ReadOptions opts = {});
+
+/// read_artifact without keeping the payload (content stays empty): the
+/// same verdict, CRC and length from one streamed pass in kIoChunkBytes
+/// reads, so memory stays bounded whatever the file size.
+Artifact digest_artifact(const std::string& path, ReadOptions opts = {});
 
 /// Rename `path` to the first free `<path>.corrupt[.N]`, log a warning, and
 /// bump the io.quarantined counter. Returns the quarantine path ("" if the

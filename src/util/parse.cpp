@@ -155,10 +155,10 @@ void RowQuarantine::add(std::size_t line, const char* reason,
                                sidecar_path_);
     }
     writer_ = std::make_unique<CsvWriter>(*out_);
-    writer_->write_row({"line", "reason", "detail", "row"});
+    writer_->row("line", "reason", "detail", "row");
     quarantine_files_counter().add();
   }
-  writer_->write_row({std::to_string(line), reason, detail, raw_row});
+  writer_->row(line, reason, detail, raw_row);
   ++count_;
   reason_counter(reason).add();
   if (std::string_view(reason) == kOutOfOrder) {

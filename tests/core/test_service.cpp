@@ -4,9 +4,12 @@
 
 #include <unistd.h>
 
+#include <algorithm>
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -301,6 +304,183 @@ TEST_F(ServiceTest, CrashMidCheckpointNeverYieldsARestorableHalfBundle) {
     // restore, and a cold replay of the full WAL still reproduces state.
     auto service = make_service(1);
     EXPECT_FALSE(service->restore_checkpoint(ckpt).ok);
+    for (const auto& event : events) service->apply(event);
+    EXPECT_EQ(service->last_applied_seq(), events.size());
+  }
+}
+
+// The checkpoint's bytes are a format: every member must equal a reference
+// built here, independently of the service's formatter, with
+// snprintf("%.17g") and std::to_string.
+TEST_F(ServiceTest, CheckpointMembersMatchIndependentReference) {
+  Service service(trace::UserRegistry::with_synthetic_users(3),
+                  test_config(1));
+  service.register_paper_types();
+  std::uint64_t seq = 0;
+  const auto apply = [&](trace::Event e) {
+    e.seq = ++seq;
+    service.apply(e);
+  };
+  const auto g17 = [](double v) {
+    char buf[64];
+    std::snprintf(buf, sizeof(buf), "%.17g", v);
+    return std::string(buf);
+  };
+
+  // Activity streams: user 1 carries every awkward impact; rows go out per
+  // user, then per type, in stream order.
+  const double impacts[] = {0.0,    -0.0,  0.1,  1.0 / 3.0,
+                            1e-300, 1e300, -2.5, -1e-7};
+  std::string activities = "user,type,timestamp,impact\n";
+  const auto activity = [&](trace::UserId user, trace::EventKind kind,
+                            util::TimePoint t, double impact) {
+    trace::Event e;
+    e.kind = kind;
+    e.user = user;
+    e.timestamp = t;
+    e.impact = impact;
+    apply(e);
+  };
+  activity(2, trace::EventKind::kPublication, kBase + 3, 0.75);
+  for (std::size_t i = 0; i < std::size(impacts); ++i) {
+    activity(1, trace::EventKind::kJob,
+             kBase + static_cast<util::Duration>(i) * 60, impacts[i]);
+  }
+  activity(1, trace::EventKind::kPublication, kBase + 7, -3.25);
+  activity(0, trace::EventKind::kJob, kBase + 9, 1e-300);
+  activities += "0,0," + std::to_string(kBase + 9) + "," + g17(1e-300) + "\n";
+  for (std::size_t i = 0; i < std::size(impacts); ++i) {
+    activities += "1,0," +
+                  std::to_string(kBase + static_cast<util::Duration>(i) * 60) +
+                  "," + g17(impacts[i]) + "\n";
+  }
+  activities += "1,1," + std::to_string(kBase + 7) + "," + g17(-3.25) + "\n";
+  activities += "2,1," + std::to_string(kBase + 3) + "," + g17(0.75) + "\n";
+
+  // Files: user 0 is evicted, so its files come last, after every resident
+  // file, in ascending atime order; one resident path needs CSV quoting.
+  const auto create = [&](trace::UserId user, const std::string& path,
+                          util::TimePoint atime, std::uint64_t size) {
+    trace::Event e;
+    e.kind = trace::EventKind::kCreate;
+    e.user = user;
+    e.timestamp = atime;
+    e.path = path;
+    e.size_bytes = size;
+    e.stripe_count = 4;
+    apply(e);
+  };
+  create(0, "/scratch/u0/b.dat", kBase + 300, 30);
+  create(0, "/scratch/u0/a.dat", kBase + 200, 20);
+  create(1, "/scratch/u1/plain.dat", kBase + 100, 10);
+  create(1, "/scratch/u1/needs,\"quoting\".dat", kBase + 101, 11);
+  create(2, "/scratch/u2/x.dat", kBase + 102, 12);
+  service.vfs().evict_user(0);
+  ASSERT_FALSE(service.vfs().user_resident(0));
+  const auto file_row = [](const std::string& path_field, trace::UserId owner,
+                           std::uint64_t size, util::TimePoint atime) {
+    return path_field + "," + std::to_string(owner) + ",4," +
+           std::to_string(size) + "," + std::to_string(atime) + "\n";
+  };
+  const std::string snapshot =
+      "path,owner,stripes,size,atime\n" +
+      file_row("\"/scratch/u1/needs,\"\"quoting\"\".dat\"", 1, 11,
+               kBase + 101) +
+      file_row("/scratch/u1/plain.dat", 1, 10, kBase + 100) +
+      file_row("/scratch/u2/x.dat", 2, 12, kBase + 102) +
+      file_row("/scratch/u0/a.dat", 0, 20, kBase + 200) +
+      file_row("/scratch/u0/b.dat", 0, 30, kBase + 300);
+  const std::string meta = "format = adr-checkpoint-v1\napplied_seq = " +
+                           std::to_string(seq) +
+                           "\nusers = 3\ntypes = 2\n";
+
+  const std::string ckpt = dir_ + "/ckpt_golden";
+  const std::uint64_t bytes = service.save_checkpoint(ckpt);
+  EXPECT_FALSE(service.vfs().user_resident(0));  // the export never faults
+
+  const auto footered = [](const std::string& payload) {
+    util::io::Crc32 crc;
+    crc.update(payload);
+    return payload + util::io::make_footer(crc.value(), payload.size()) + "\n";
+  };
+  EXPECT_EQ(slurp(ckpt + "/activities.csv"), footered(activities));
+  EXPECT_EQ(slurp(ckpt + "/snapshot.csv"), footered(snapshot));
+  EXPECT_EQ(slurp(ckpt + "/meta.conf"), footered(meta));
+  EXPECT_EQ(bytes, activities.size() + snapshot.size() + meta.size());
+  const util::io::BundleCheck check = util::io::verify_bundle(ckpt);
+  ASSERT_TRUE(check.valid()) << check.error;
+  ASSERT_EQ(check.members.size(), 3u);
+  EXPECT_EQ(check.members[1].name, "activities.csv");
+  EXPECT_EQ(check.members[1].bytes, activities.size());
+  util::io::Crc32 crc;
+  crc.update(activities);
+  EXPECT_EQ(check.members[1].crc32, crc.value());
+
+  // And the checkpoint restores to the same bytes.
+  Service restored(trace::UserRegistry::with_synthetic_users(3),
+                   test_config(1));
+  restored.register_paper_types();
+  ASSERT_TRUE(restored.restore_checkpoint(ckpt).ok);
+  restored.save_checkpoint(dir_ + "/ckpt_golden2");
+  EXPECT_EQ(slurp(dir_ + "/ckpt_golden2/activities.csv"),
+            footered(activities));
+}
+
+// Restore parses with the strict checked helpers: a row with trailing junk,
+// a fractional id or a non-finite impact refuses the checkpoint with a
+// row-numbered error, even when the bundle itself was sealed over it.
+TEST_F(ServiceTest, RestoreRefusesMalformedActivityRows) {
+  const auto events = all_events();
+  const std::string ckpt = dir_ + "/ckpt_rows";
+  {
+    auto service = make_service(1);
+    for (const auto& event : events) service->apply(event);
+    service->save_checkpoint(ckpt);
+  }
+  const std::string good = util::io::load_verified(ckpt + "/activities.csv");
+  std::vector<std::string> lines;
+  {
+    std::istringstream in(good);
+    for (std::string line; std::getline(in, line);) lines.push_back(line);
+  }
+  ASSERT_GE(lines.size(), 3u);
+  const std::string ts = std::to_string(kBase);
+  const struct {
+    std::string row;
+    const char* column;
+  } cases[] = {
+      {"3abc,0," + ts + ",1", "'user'"},
+      {"1.5,0," + ts + ",1", "'user'"},
+      {"1,0x1," + ts + ",1", "'type'"},
+      {"1,0,12abc,1", "'timestamp'"},
+      {"1,0," + ts + ",1.5x", "'impact'"},
+      {"1,0," + ts + ",nan", "'impact'"},
+      {"1,0," + ts + ",inf", "'impact'"},
+      {"1,0," + ts + ",-inf", "'impact'"},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.row);
+    {
+      util::io::AtomicWriter writer(ckpt + "/activities.csv");
+      for (std::size_t i = 0; i < lines.size(); ++i) {
+        writer.write_line(i == 2 ? c.row : lines[i]);  // physical line 3
+      }
+      writer.commit();
+    }
+    util::io::commit_bundle(ckpt, {"meta.conf", "activities.csv",
+                                   "snapshot.csv"});
+    ASSERT_TRUE(util::io::verify_bundle(ckpt).valid());
+    auto service = make_service(1);
+    const auto status = service->restore_checkpoint(ckpt);
+    EXPECT_FALSE(status.ok);
+    EXPECT_NE(status.error.find("activities.csv:3"), std::string::npos)
+        << status.error;
+    EXPECT_NE(status.error.find(c.column), std::string::npos)
+        << status.error;
+    // Nothing was mutated: the service is clean for a fallback replay.
+    EXPECT_EQ(service->last_applied_seq(), 0u);
+    EXPECT_EQ(service->store().total_activities(), 0u);
+    EXPECT_EQ(service->vfs().file_count(), 0u);
     for (const auto& event : events) service->apply(event);
     EXPECT_EQ(service->last_applied_seq(), events.size());
   }

@@ -4,6 +4,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <string>
@@ -11,6 +12,7 @@
 #include <vector>
 
 #include "core/service.hpp"
+#include "obs/metrics.hpp"
 #include "trace/event_log.hpp"
 #include "util/bundle.hpp"
 #include "util/config.hpp"
@@ -334,6 +336,11 @@ TEST_F(DaemonTest, CrashRecoveryIsByteIdenticalAtEveryFaultPoint) {
       {"io.atomic.pre_rename:crash@1", false},
       {"bundle.member:crash@1", false},
       {"bundle.pre_manifest:crash@1", false},
+      // CsvWriter rows inside the checkpoint: activities.csv (24 rows with
+      // its header), then snapshot.csv (19), then the MANIFEST.
+      {"csv.row:crash@5", false},
+      {"csv.row:crash@30", false},
+      {"csv.row:crash@45", false},
       {"serve.checkpoint.prune:crash@1", false},
       {"wal.seal.pre_remove:crash@1", true},
   };
@@ -379,6 +386,70 @@ TEST_F(DaemonTest, CrashRecoveryIsByteIdenticalAtEveryFaultPoint) {
     EXPECT_EQ(ranks, cold.ranks);
     EXPECT_EQ(victims, cold.victims);
   }
+}
+
+// A full disk fails the cadence checkpoint: the daemon keeps applying,
+// retries the checkpoint on a later tick, and recovery after a kill -9 still
+// lands on the cold one-shot bytes.
+TEST_F(DaemonTest, EnospcCheckpointIsRetriedOnALaterTick) {
+  const std::string tag = "enospc";
+  const auto events = make_history();
+  const std::size_t half = events.size() / 2;
+  write_wal(tag, {events.begin(),
+                  events.begin() + static_cast<std::ptrdiff_t>(half)});
+  DaemonOptions options = daemon_options(tag, 1);
+  options.checkpoint_every_events = 1;
+  options.keep_checkpoints = 1;
+  auto& metrics = obs::MetricsRegistry::global();
+  const std::uint64_t failures_before =
+      metrics.counter("serve.checkpoint_failures").value();
+  const std::uint64_t observed_before =
+      metrics.histogram("serve.checkpoint_seconds").count();
+  {
+    Daemon victim(trace::UserRegistry::with_synthetic_users(kUsers), options);
+    victim.start();
+    util::FaultInjector::global().configure("io.atomic.write:enospc@100");
+    EXPECT_NO_THROW(victim.tick());  // applies the first half, fails to save
+    EXPECT_GE(util::FaultInjector::global().fired_count(), 1u);
+    util::FaultInjector::global().clear();
+    EXPECT_EQ(victim.service().last_applied_seq(), half);
+    EXPECT_EQ(metrics.counter("serve.checkpoint_failures").value(),
+              failures_before + 1);
+    EXPECT_EQ(metrics.histogram("serve.checkpoint_seconds").count(),
+              observed_before);
+    {
+      trace::EventLogWriter writer(wal(tag));
+      for (std::size_t i = half; i < events.size(); ++i) {
+        writer.append(events[i]);
+      }
+    }
+    victim.tick();  // the retry: the disk has room again
+    EXPECT_EQ(metrics.histogram("serve.checkpoint_seconds").count(),
+              observed_before + 1);
+    // The gauge holds the new checkpoint's member payload bytes.
+    std::vector<std::string> dirs;
+    for (const auto& entry : fsys::directory_iterator(victim.checkpoints_dir())) {
+      dirs.push_back(entry.path().string());
+    }
+    std::sort(dirs.begin(), dirs.end());
+    ASSERT_FALSE(dirs.empty());
+    const util::io::BundleCheck check = util::io::verify_bundle(dirs.back());
+    ASSERT_TRUE(check.valid()) << check.error;
+    std::uint64_t bytes = 0;
+    for (const auto& m : check.members) bytes += m.bytes;
+    EXPECT_EQ(metrics.gauge("serve.checkpoint_bytes").value(),
+              static_cast<std::int64_t>(bytes));
+    // No shutdown: the on-disk state is what a kill -9 leaves.
+  }
+  const ColdResult cold = cold_reference(tag, 1);
+  Daemon recovered = make_daemon(tag, 1);
+  recovered.start();
+  EXPECT_EQ(recovered.service().last_applied_seq(), events.size());
+  recovered.tick();
+  const auto [ranks, victims, reply] = trigger(recovered, tag);
+  EXPECT_EQ(reply.get_string("ok", ""), "true");
+  EXPECT_EQ(ranks, cold.ranks);
+  EXPECT_EQ(victims, cold.victims);
 }
 
 // Crash mid-checkpoint leaves a half bundle: recovery must skip it, restore

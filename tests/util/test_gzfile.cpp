@@ -2,15 +2,21 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cstdio>
 #include <fstream>
+#include <string>
 
 namespace adr::util {
 namespace {
 
 class GzFileTest : public ::testing::Test {
  protected:
-  std::string path_ = ::testing::TempDir() + "/adr_gz_test.txt.gz";
+  // Per-process: ctest -j runs each test in its own process, and one
+  // test's TearDown must not remove another's file.
+  std::string path_ = ::testing::TempDir() + "/adr_gz_test_" +
+                      std::to_string(::getpid()) + ".txt.gz";
   void TearDown() override { std::remove(path_.c_str()); }
 };
 

@@ -7,6 +7,8 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <ostream>
+#include <string>
 
 #include "util/fault.hpp"
 #include "util/gzfile.hpp"
@@ -245,6 +247,189 @@ TEST_F(AtomicIoTest, PostRenameCrashStillCommits) {
   }
   FaultInjector::global().clear();
   EXPECT_EQ(load_verified(path_), "made,it\n");  // rename happened first
+}
+
+// ---- the buffered payload stream -------------------------------------------
+
+/// A payload spanning more than three put-area chunks, with a recognisable
+/// byte at every offset.
+std::string multi_chunk_payload() {
+  std::string payload;
+  payload.reserve(3 * kIoChunkBytes + 1000);
+  for (std::size_t i = 0; payload.size() < 3 * kIoChunkBytes + 1000; ++i) {
+    payload += "row," + std::to_string(i) + "\n";
+  }
+  return payload;
+}
+
+TEST_F(AtomicIoTest, WriteFaultsKeepExactOffsetsAcrossChunkBoundaries) {
+  const std::string payload = multi_chunk_payload();
+  {
+    AtomicWriter writer(path_);
+    writer.write_line("old,intact");
+    writer.commit();
+  }
+  const std::uint64_t boundary = 2 * kIoChunkBytes;
+  for (const char* action : {"short", "enospc"}) {
+    for (const std::uint64_t n :
+         {boundary - 1, boundary, boundary + 1, std::uint64_t{1}}) {
+      const std::string spec = std::string("io.atomic.write:") + action +
+                               "@" + std::to_string(n);
+      SCOPED_TRACE(spec);
+      FaultInjector::global().configure(spec);
+      {
+        AtomicWriter writer(path_);
+        // Many small writes, as a CSV writer makes them.
+        for (std::size_t off = 0; off < payload.size(); off += 1000) {
+          writer.write(payload.substr(off, 1000));
+        }
+        EXPECT_THROW(writer.commit(), std::runtime_error);
+        // Exactly N payload bytes reached the temp file before the fault.
+        EXPECT_EQ(writer.payload_bytes(), n);
+      }
+      EXPECT_GE(FaultInjector::global().fired_count(), 1u);
+      FaultInjector::global().clear();
+      EXPECT_FALSE(fsys::exists(path_ + ".tmp"));
+      EXPECT_EQ(load_verified(path_), "old,intact\n");  // target untouched
+    }
+  }
+}
+
+TEST_F(AtomicIoTest, PayloadCountersIncludeBufferedBytes) {
+  const std::string payload = multi_chunk_payload();
+  std::uint64_t bytes = 0;
+  std::uint32_t crc = 0;
+  {
+    AtomicWriter writer(path_);
+    writer.stream() << payload;
+    writer.write_line("tail");  // leaves a partly filled put area
+    bytes = writer.payload_bytes();
+    crc = writer.payload_crc();
+    writer.commit();
+  }
+  const std::string raw = slurp(path_);
+  const std::size_t footer_at = raw.rfind(kFooterPrefix);
+  ASSERT_NE(footer_at, std::string::npos);
+  std::uint32_t footer_crc = 0;
+  std::uint64_t footer_bytes = 0;
+  ASSERT_TRUE(parse_footer(raw.substr(footer_at, raw.size() - footer_at - 1),
+                           footer_crc, footer_bytes));
+  EXPECT_EQ(bytes, payload.size() + 5);
+  EXPECT_EQ(bytes, footer_bytes);
+  EXPECT_EQ(crc, footer_crc);
+  Crc32 expect;
+  expect.update(payload + "tail\n");
+  EXPECT_EQ(crc, expect.value());
+}
+
+TEST_F(AtomicIoTest, PreCommitCrashLeavesDrainedPayloadWithoutFooter) {
+  const std::string payload = multi_chunk_payload();
+  FaultInjector::global().configure("io.atomic.pre_commit:crash");
+  try {
+    AtomicWriter writer(path_);
+    writer.write(payload);
+    writer.commit();
+    FAIL() << "expected CrashInjected";
+  } catch (const CrashInjected&) {
+  }
+  // commit() drained everything before its crash point: the torn temp holds
+  // the whole payload and no footer.
+  EXPECT_EQ(slurp(path_ + ".tmp"), payload);
+  EXPECT_FALSE(fsys::exists(path_));
+}
+
+// ---- the streaming verifier ------------------------------------------------
+
+TEST_F(AtomicIoTest, DigestMatchesReadAcrossChunks) {
+  const std::string payload = multi_chunk_payload();
+  {
+    AtomicWriter writer(path_);
+    writer.write(payload);
+    writer.commit();
+  }
+  const Artifact read = read_artifact(path_);
+  const Artifact digest = digest_artifact(path_);
+  EXPECT_EQ(read.state, ArtifactState::kVerified);
+  EXPECT_EQ(read.content, payload);
+  EXPECT_EQ(digest.state, ArtifactState::kVerified);
+  EXPECT_TRUE(digest.content.empty());
+  Crc32 crc;
+  crc.update(payload);
+  EXPECT_EQ(read.crc32, crc.value());
+  EXPECT_EQ(digest.crc32, crc.value());
+  EXPECT_EQ(digest.bytes, payload.size());
+
+  // Flip one byte in the last chunk: one CRC pass still catches it.
+  {
+    std::fstream f(path_, std::ios::in | std::ios::out | std::ios::binary);
+    f.seekp(static_cast<std::streamoff>(payload.size() - 3));
+    f.put('X');
+  }
+  const Artifact flipped = digest_artifact(path_);
+  EXPECT_EQ(flipped.state, ArtifactState::kCorrupt);
+  EXPECT_NE(flipped.error.find("crc32"), std::string::npos);
+  EXPECT_EQ(read_artifact(path_).error, flipped.error);
+  EXPECT_TRUE(read_artifact(path_).content.empty());
+}
+
+TEST_F(AtomicIoTest, LegacyFileWithLongLastLineDigestsWhole) {
+  // No footer, and a last line longer than one read chunk: the tail scan
+  // walks back across chunk reads and classifies the file as legacy.
+  std::string content = "header\n" + std::string(kIoChunkBytes + 17, 'x');
+  content += "\n\n";
+  {
+    std::ofstream out(path_, std::ios::binary);
+    out << content;
+  }
+  const Artifact digest = digest_artifact(path_);
+  EXPECT_EQ(digest.state, ArtifactState::kLegacy);
+  EXPECT_EQ(digest.bytes, content.size());
+  Crc32 crc;
+  crc.update(content);
+  EXPECT_EQ(digest.crc32, crc.value());
+  EXPECT_EQ(read_artifact(path_).content, content);
+  EXPECT_EQ(digest_artifact(path_, {.require_footer = true}).state,
+            ArtifactState::kCorrupt);
+}
+
+TEST_F(AtomicIoTest, FooterFollowedByBlankLinesStillVerifies) {
+  {
+    AtomicWriter writer(path_);
+    writer.write_line("a,b");
+    writer.commit();
+  }
+  {
+    std::ofstream out(path_, std::ios::binary | std::ios::app);
+    out << "\n\n";
+  }
+  EXPECT_EQ(read_artifact(path_).state, ArtifactState::kVerified);
+  EXPECT_EQ(read_artifact(path_).content, "a,b\n");
+  EXPECT_EQ(digest_artifact(path_).bytes, 4u);
+}
+
+TEST_F(AtomicIoTest, GzDigestMatchesRead) {
+  const std::string gz = dir_ + "/snap.csv.gz";
+  const std::string payload =
+      "path,owner\n#ADRCRC looks like a footer but is not last\n\n/a,1\n";
+  {
+    GzWriter out(gz);
+    out.write_line("path,owner");
+    out.write_line("#ADRCRC looks like a footer but is not last");
+    out.write_line("");
+    out.write_line("/a,1");
+    Crc32 crc;
+    crc.update(payload);
+    out.write_line(make_footer(crc.value(), payload.size()));
+    out.write_line("");
+    out.close();
+  }
+  const Artifact read = read_artifact(gz);
+  ASSERT_EQ(read.state, ArtifactState::kVerified) << read.error;
+  EXPECT_EQ(read.content, payload);
+  const Artifact digest = digest_artifact(gz);
+  EXPECT_EQ(digest.state, ArtifactState::kVerified);
+  EXPECT_EQ(digest.bytes, read.content.size());
+  EXPECT_EQ(digest.crc32, read.crc32);
 }
 
 }  // namespace
