@@ -5,7 +5,6 @@
 #include <iostream>
 
 #include "common/scenario_cache.hpp"
-#include "sim/emulator.hpp"
 #include "util/table.hpp"
 
 int main(int argc, char** argv) {
@@ -29,16 +28,11 @@ int main(int argc, char** argv) {
     activeness::EvaluationParams params;
     params.period_length_days = options.experiment.lifetime_days;
     params.scheme = scheme;
-    sim::ActivenessTimeline timeline =
-        sim::ActivenessTimeline::for_scenario(scenario, params);
-    const auto& plan = timeline.plan_at(scenario.sim_begin);
     std::vector<std::string> row{label};
-    for (std::size_t g = 0; g < activeness::kGroupCount; ++g) {
-      row.push_back(util::format_percent(
-          static_cast<double>(
-              plan.group(static_cast<activeness::UserGroup>(g)).size()) /
-              n,
-          1));
+    for (const std::size_t count :
+         bench::group_counts_at(scenario, params, scenario.sim_begin)) {
+      row.push_back(
+          util::format_percent(static_cast<double>(count) / n, 1));
     }
     matrix.add_row(std::move(row));
   }

@@ -7,7 +7,6 @@
 #include <iostream>
 
 #include "common/scenario_cache.hpp"
-#include "sim/emulator.hpp"
 #include "util/table.hpp"
 
 int main(int argc, char** argv) {
@@ -25,13 +24,10 @@ int main(int argc, char** argv) {
   for (const int d : {7, 30, 60, 90}) {
     activeness::EvaluationParams params;
     params.period_length_days = d;
-    sim::ActivenessTimeline timeline =
-        sim::ActivenessTimeline::for_scenario(scenario, params);
-    const activeness::ScanPlan& plan = timeline.plan_at(scenario.sim_begin);
+    const auto counts =
+        bench::group_counts_at(scenario, params, scenario.sim_begin);
     std::vector<std::string> row{std::to_string(d) + " days"};
-    for (std::size_t g = 0; g < activeness::kGroupCount; ++g) {
-      const std::size_t count =
-          plan.group(static_cast<activeness::UserGroup>(g)).size();
+    for (const std::size_t count : counts) {
       row.push_back(util::fmt_int(static_cast<std::int64_t>(count)) + " (" +
                     util::format_percent(static_cast<double>(count) / n, 1) +
                     ")");

@@ -19,9 +19,9 @@
 #include <fstream>
 #include <iostream>
 
+#include "activeness/sharded.hpp"
 #include "common/scenario_cache.hpp"
 #include "obs/metrics.hpp"
-#include "sim/emulator.hpp"
 #include "util/memory.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
@@ -35,14 +35,23 @@ const adr::synth::TitanScenario& scenario() {
   return adr::bench::shared_scenario(g_options.titan);
 }
 
-adr::activeness::ActivityStore build_store(
-    const adr::synth::TitanScenario& s) {
-  adr::activeness::ActivityStore store(s.registry.size(), 2);
-  adr::activeness::ingest_jobs(store, 0, 1.0, s.jobs);
-  adr::activeness::ingest_publications(store, 1, 1.0, s.pubs);
-  store.sort_all();
-  return store;
-}
+// One evaluation pipeline over its own copy of the scenario's activities.
+struct Pipeline {
+  Pipeline(const adr::activeness::ActivityCatalog& catalog,
+           const adr::activeness::EvaluationParams& params,
+           adr::activeness::EvalMode mode, std::size_t shards = 0)
+      : store(adr::bench::scenario_store(scenario())),
+        eval(catalog, params, mode, shards) {}
+
+  /// The scan plan at `t`; advances only when `t` moved.
+  const adr::activeness::ScanPlan& plan_at(adr::util::TimePoint t) {
+    if (!eval.evaluated() || eval.last_now() != t) eval.advance(store, t);
+    return eval.plan();
+  }
+
+  adr::activeness::ActivityStore store;
+  adr::activeness::ShardedEvaluator eval;
+};
 
 // ---- Fig. 12a: trace loading memory/time (printed, not benchmarked) ------
 void print_fig12a() {
@@ -66,7 +75,7 @@ void print_fig12a() {
   {
     util::RssDelta delta;
     const auto t1 = std::chrono::steady_clock::now();
-    auto store = build_store(s);
+    auto store = adr::bench::scenario_store(s);
     const double secs =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - t1)
             .count();
@@ -104,7 +113,7 @@ void print_fig12a() {
 // ---- Fig. 12b: activeness evaluation + purge decision --------------------
 void BM_ActivenessEvaluation(benchmark::State& state) {
   const auto& s = scenario();
-  const auto store = build_store(s);
+  const auto store = adr::bench::scenario_store(s);
   const adr::activeness::ActivityCatalog catalog =
       adr::activeness::ActivityCatalog::paper_default();
   adr::activeness::EvaluationParams params;
@@ -124,7 +133,7 @@ void BM_PurgeDecision(benchmark::State& state) {
   // over every user directory) on a freshly imported snapshot. Arg 0 scans
   // via the atime-ordered purge index, arg 1 via the legacy trie walk.
   const auto& s = scenario();
-  const auto store = build_store(s);
+  const auto store = adr::bench::scenario_store(s);
   adr::activeness::EvaluationParams params;
   params.period_length_days = 90;
   params.now = s.sim_begin;
@@ -154,7 +163,7 @@ BENCHMARK(BM_PurgeDecision)
 
 // ---- Eval-phase regression harness: full vs incremental pipeline ----------
 // A replay year of daily evaluation triggers driven through the
-// ActivenessTimeline under both eval modes. The incremental pipeline must
+// ShardedEvaluator pipeline under both eval modes. The incremental pipeline must
 // produce the exact same ranks and scan-plan orderings as full
 // re-evaluation at every trigger, and its cumulative eval-phase wall time
 // must beat full mode by >= MIN_EVAL_SPEEDUP (the delta-aware pipeline only
@@ -213,10 +222,8 @@ EvalModeComparison run_eval_mode_comparison(int reps) {
   // the per-trigger plan comparison thrash both pipelines' working sets,
   // which would bias the timing of whichever mode runs second.
   {
-    sim::ActivenessTimeline full(catalog, build_store(s), params,
-                                 activeness::EvalMode::kFull);
-    sim::ActivenessTimeline inc(catalog, build_store(s), params,
-                                activeness::EvalMode::kIncremental);
+    Pipeline full(catalog, params, activeness::EvalMode::kFull);
+    Pipeline inc(catalog, params, activeness::EvalMode::kIncremental);
     std::size_t triggers = 0;
     for (util::TimePoint t = s.sim_begin; t <= s.sim_end;
          t += util::days(1)) {
@@ -228,15 +235,16 @@ EvalModeComparison run_eval_mode_comparison(int reps) {
     cmp.triggers = triggers;
   }
 
-  // Timed reps: each mode drives its own fresh timeline through the whole
-  // replay year; best-of-reps per mode.
+  // Timed reps: each mode drives its own fresh pipeline through the whole
+  // replay year; best-of-reps per mode. seconds() counts only this
+  // pipeline's advance() wall time.
   const auto run_mode = [&](activeness::EvalMode mode) {
-    sim::ActivenessTimeline timeline(catalog, build_store(s), params, mode);
+    Pipeline pipeline(catalog, params, mode);
     for (util::TimePoint t = s.sim_begin; t <= s.sim_end;
          t += util::days(1)) {
-      benchmark::DoNotOptimize(timeline.plan_at(t));
+      benchmark::DoNotOptimize(pipeline.plan_at(t));
     }
-    return timeline.eval_seconds();
+    return pipeline.eval.seconds();
   };
   for (int rep = 0; rep < reps; ++rep) {
     const double full_secs = run_mode(activeness::EvalMode::kFull);
@@ -308,11 +316,9 @@ ShardComparison run_shard_comparison(int reps, std::size_t shards_override) {
   // Identity pass (untimed): lockstep daily triggers, every plan compared;
   // then a dry-run purge off each final plan must pick the same victims.
   {
-    sim::ActivenessTimeline one(catalog, build_store(s), params,
-                                activeness::EvalMode::kIncremental, 1);
-    sim::ActivenessTimeline many(catalog, build_store(s), params,
-                                 activeness::EvalMode::kIncremental,
-                                 cmp.shards);
+    Pipeline one(catalog, params, activeness::EvalMode::kIncremental, 1);
+    Pipeline many(catalog, params, activeness::EvalMode::kIncremental,
+                  cmp.shards);
     std::size_t triggers = 0;
     for (util::TimePoint t = s.sim_begin; t <= s.sim_end;
          t += util::days(1)) {
@@ -337,18 +343,17 @@ ShardComparison run_shard_comparison(int reps, std::size_t shards_override) {
         report_1.purged_bytes == report_n.purged_bytes;
   }
 
-  // Timed reps: each shard count drives its own fresh timeline through the
-  // replay year; best-of-reps. eval_seconds() counts only this timeline's
+  // Timed reps: each shard count drives its own fresh pipeline through the
+  // replay year; best-of-reps. seconds() counts only this pipeline's
   // advance() wall time (wake filter + segment advances + plan splice).
   const auto run_shards = [&](std::size_t shards) {
-    sim::ActivenessTimeline timeline(catalog, build_store(s), params,
-                                     activeness::EvalMode::kIncremental,
-                                     shards);
+    Pipeline pipeline(catalog, params, activeness::EvalMode::kIncremental,
+                      shards);
     for (util::TimePoint t = s.sim_begin; t <= s.sim_end;
          t += util::days(1)) {
-      benchmark::DoNotOptimize(timeline.plan_at(t));
+      benchmark::DoNotOptimize(pipeline.plan_at(t));
     }
-    return timeline.eval_seconds();
+    return pipeline.eval.seconds();
   };
   for (int rep = 0; rep < reps; ++rep) {
     const double one_secs = run_shards(1);
@@ -453,7 +458,7 @@ void run_scan_mode_comparison(const std::string& json_path,
     }
   }
 
-  const auto store = build_store(s);
+  const auto store = adr::bench::scenario_store(s);
   activeness::EvaluationParams params;
   params.period_length_days = 90;
   params.now = mid;

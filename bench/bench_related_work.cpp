@@ -13,6 +13,8 @@
 #include <iostream>
 
 #include "common/scenario_cache.hpp"
+#include "retention/cache_policy.hpp"
+#include "retention/value_policy.hpp"
 #include "sim/experiment.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
@@ -25,35 +27,33 @@ int main(int argc, char** argv) {
       options);
 
   const synth::TitanScenario& scenario = bench::shared_scenario(options.titan);
-  sim::ActivenessTimeline timeline = sim::ActivenessTimeline::for_scenario(
-      scenario, sim::evaluation_params(options.experiment));
-  sim::EmulatorConfig emu;
-  emu.purge_interval_days = options.experiment.purge_interval_days;
-  emu.purge_target_utilization = options.experiment.purge_target_utilization;
-  sim::Emulator emulator(scenario, emu, timeline);
+  const sim::ExperimentConfig& config = options.experiment;
+  // Value and ScratchCache run their policy on the run's Service: its Vfs,
+  // and its latest evaluation for per-group attribution.
+  const auto service_step = [](auto& policy) {
+    return [&policy](core::Service& service, util::TimePoint now,
+                     std::uint64_t target) {
+      policy.set_group_of(
+          [&service](trace::UserId user) { return service.group_of(user); });
+      return policy.run(service.vfs(), now, target);
+    };
+  };
 
   std::vector<sim::EmulationResult> results;
+  results.push_back(sim::run_flt_strict(scenario, config));
   {
-    sim::FltDriver flt(retention::FltConfig{options.experiment.lifetime_days},
-                       timeline);
-    results.push_back(emulator.run(flt, 0.0));  // strict, no target
-  }
-  {
-    sim::ValueDriver value(retention::ValueConfig{}, timeline);
+    retention::ValuePolicy value(retention::ValueConfig{});
     results.push_back(
-        emulator.run(value, options.experiment.purge_target_utilization));
+        sim::emulate(scenario, config, value.name(), service_step(value)));
   }
   {
-    sim::ScratchCacheDriver cache(retention::ScratchCacheConfig{}, timeline);
-    results.push_back(emulator.run(cache, 0.0));  // cache ignores targets
+    retention::ScratchCachePolicy cache(retention::ScratchCacheConfig{});
+    sim::ExperimentConfig untargeted = config;  // the cache ignores targets
+    untargeted.purge_target_utilization = 0.0;
+    results.push_back(sim::emulate(scenario, untargeted, cache.name(),
+                                   service_step(cache)));
   }
-  {
-    retention::ActiveDrConfig adr_config;
-    adr_config.initial_lifetime_days = options.experiment.lifetime_days;
-    sim::ActiveDrDriver adr(adr_config, scenario.registry, timeline);
-    results.push_back(
-        emulator.run(adr, options.experiment.purge_target_utilization));
-  }
+  results.push_back(sim::run_activedr(scenario, config));
 
   util::Table table("Year replay, one row per strategy");
   table.set_headers({"Policy", "Misses", "Days >5%", "Final util",

@@ -41,6 +41,31 @@ const synth::TitanScenario& shared_scenario(
   return *it->second;
 }
 
+activeness::ActivityStore scenario_store(
+    const synth::TitanScenario& scenario) {
+  activeness::ActivityStore store(scenario.registry.size(), 2);
+  activeness::ingest_jobs(store, 0, 1.0, scenario.jobs);
+  activeness::ingest_publications(store, 1, 1.0, scenario.pubs);
+  store.sort_all();
+  return store;
+}
+
+std::array<std::size_t, activeness::kGroupCount> group_counts_at(
+    const synth::TitanScenario& scenario,
+    const activeness::EvaluationParams& params, util::TimePoint t) {
+  const activeness::ActivityCatalog catalog =
+      activeness::ActivityCatalog::paper_default();
+  activeness::ActivityStore store = scenario_store(scenario);
+  activeness::ShardedEvaluator pipeline(catalog, params);
+  pipeline.advance(store, t);
+  std::array<std::size_t, activeness::kGroupCount> counts{};
+  for (std::size_t g = 0; g < activeness::kGroupCount; ++g) {
+    counts[g] =
+        pipeline.plan().group(static_cast<activeness::UserGroup>(g)).size();
+  }
+  return counts;
+}
+
 void print_banner(const std::string& title, const std::string& paper_ref,
                   const BenchOptions& options) {
   std::printf("================================================================\n");

@@ -4,8 +4,10 @@
 // synthesized scenario), and the standard header every bench prints so
 // bench_output.txt records the run's provenance.
 
+#include <array>
 #include <string>
 
+#include "activeness/sharded.hpp"
 #include "sim/experiment.hpp"
 #include "synth/titan_model.hpp"
 #include "util/config.hpp"
@@ -24,6 +26,16 @@ struct BenchOptions {
 /// Build (or fetch the cached) scenario for the given parameters. Cached by
 /// (users, seed) within the process.
 const synth::TitanScenario& shared_scenario(const synth::TitanParams& params);
+
+/// The scenario's activity store: job submissions as type 0, publications
+/// as type 1 (ActivityCatalog::paper_default()), both at weight 1.0, sorted.
+activeness::ActivityStore scenario_store(const synth::TitanScenario& scenario);
+
+/// Users per activeness group, G(1)..G(4), when the evaluation pipeline
+/// ranks the scenario at `t` under `params`.
+std::array<std::size_t, activeness::kGroupCount> group_counts_at(
+    const synth::TitanScenario& scenario,
+    const activeness::EvaluationParams& params, util::TimePoint t);
 
 /// Print the standard bench banner.
 void print_banner(const std::string& title, const std::string& paper_ref,

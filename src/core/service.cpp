@@ -194,6 +194,12 @@ util::Duration Service::effective_lifetime_of(trace::UserId user) const {
       static_cast<double>(util::days(config_.lifetime_days)) * mult);
 }
 
+activeness::UserGroup Service::group_of(trace::UserId user) const {
+  const std::vector<activeness::UserGroup>& groups = pipeline_->groups();
+  return user < groups.size() ? groups[user]
+                              : activeness::UserGroup::kBothInactive;
+}
+
 retention::PurgeReport Service::purge(util::TimePoint now) {
   const std::uint64_t target =
       config_.purge_target_utilization > 0.0
@@ -241,6 +247,7 @@ retention::PurgeReport Service::purge_flt(util::TimePoint now,
   config.record_victims = config_.record_victims;
   config.scan_mode = config_.scan_mode;
   retention::FltPolicy policy(config);
+  policy.set_group_of([this](trace::UserId user) { return group_of(user); });
   return policy.run(vfs_, now, target_bytes);
 }
 

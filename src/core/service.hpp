@@ -16,9 +16,11 @@
 //   service.reserve("/scratch/u1/keep.dat");                  // exemptions
 //   auto report = service.purge(now);                         // per trigger
 //
-// The one-shot CLI commands build a Service per invocation, sim/loadgen.cpp
-// drives one under sustained load, and `activedr serve` keeps one resident
-// and feeds it from the WAL.
+// Every emulator run (sim/emulator.cpp, the paper's year replay) builds one
+// Service, sim/loadgen.cpp drives one under sustained load, and `activedr
+// serve` keeps one resident and feeds it from the WAL. The one-shot CLI
+// commands `evaluate` and `purge` still wire store, pipeline and policy
+// themselves.
 //
 // Three capabilities serve the daemon (the one-shot paths get them for
 // free):
@@ -153,6 +155,9 @@ class Service {
   /// The file lifetime this user's files currently enjoy (Eq. 7 with this
   /// service's config), per the latest evaluation.
   util::Duration effective_lifetime_of(trace::UserId user) const;
+  /// The group of one user per the latest evaluation; Both-Inactive before
+  /// any evaluation and for ids outside the registry.
+  activeness::UserGroup group_of(trace::UserId user) const;
   const activeness::RankStore& ranks() const { return ranks_; }
 
   // -- retention ----------------------------------------------------------
@@ -166,6 +171,8 @@ class Service {
   retention::PurgeReport purge(util::TimePoint now,
                                std::uint64_t target_bytes);
   /// The FLT baseline on the same state (mutates the vfs just like purge).
+  /// Never evaluates; the report's by_group rows follow group_of(), i.e.
+  /// the latest evaluation.
   retention::PurgeReport purge_flt(util::TimePoint now);
   retention::PurgeReport purge_flt(util::TimePoint now,
                                    std::uint64_t target_bytes);

@@ -193,7 +193,7 @@ class Vfs {
   /// with matching owner/atime/size/path, and nothing extra). Returns true
   /// when consistent; otherwise describes the first mismatch in *error (if
   /// non-null). O(files) — meant for tests, audits
-  /// (EmulatorConfig::audit_purge_index), and `purge --check-index`.
+  /// (sim::ExperimentConfig::audit_purge_index), and `purge --check-index`.
   bool verify_purge_index(std::string* error = nullptr) const;
 
   /// Visit every file, resident or evicted: the resident trie in

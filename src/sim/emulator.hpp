@@ -1,176 +1,66 @@
 #pragma once
 // The trace-replay emulator (§4.1.3).
 //
-// A run seeds a Vfs from the scenario's initial snapshot, replays the replay
-// year's application log day by day (accesses bump atimes; absent paths are
-// *file misses*; creates add files), and fires the retention driver at every
-// purge-trigger interval. Both policies are driven through the same loop so
-// their miss series are directly comparable.
-//
-// ActivenessTimeline centralizes user evaluation during replay: each purge
-// trigger advances the evaluation pipeline to that instant (see
-// activeness/sharded.hpp — only users whose rank can have changed are
-// re-ranked). ActiveDR consumes the scan plan; both policies' metrics
-// attribute users to the same classification, so the per-group figures line
-// up the way the paper's do.
+// A run builds one core::Service from the scenario — the paper's two
+// activity types fed from its job and publication logs, the initial
+// snapshot at the scenario's capacity — and replays the replay year's
+// application log on service.vfs(): accesses bump atimes, absent paths are
+// *file misses*, creates add files. At every purge-trigger instant the run
+// evaluates the Service (only users whose rank can have changed are
+// re-ranked; activeness/sharded.hpp) and then fires the policy's purge
+// step, unless utilization already sits under the target. Every run
+// therefore classifies users at the same weekly instants whatever its
+// policy, so per-group miss series of different runs line up the way the
+// paper's do.
 
-#include <map>
-#include <memory>
+#include <array>
+#include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
-#include "activeness/classifier.hpp"
-#include "activeness/sharded.hpp"
-#include "obs/metrics.hpp"
+#include "core/service.hpp"
 #include "fs/archive.hpp"
-#include "retention/activedr_policy.hpp"
-#include "retention/cache_policy.hpp"
-#include "retention/flt.hpp"
-#include "retention/value_policy.hpp"
 #include "sim/metrics.hpp"
 #include "synth/titan_model.hpp"
 
 namespace adr::sim {
 
-/// Re-evaluation of user activeness at successive replay instants, advanced
-/// in place by the ShardedEvaluator pipeline. Only the *latest* scan plan is
-/// held (repeated plan_at with the same t returns the same object); group
-/// attribution history is a compact per-trigger group table, deduplicated
-/// across triggers whose classification did not change — the timeline's
-/// memory is bounded by the number of *distinct* classifications, not by
-/// trigger count, and never retains old plans.
-class ActivenessTimeline {
- public:
-  /// `shards`: user-range shards the per-trigger evaluation fans out over
-  /// (activeness/sharded.hpp; 0 = one per available thread). Plans/ranks
-  /// are identical for every value.
-  ActivenessTimeline(const activeness::ActivityCatalog& catalog,
-                     activeness::ActivityStore store,
-                     activeness::EvaluationParams base_params,
-                     activeness::EvalMode mode =
-                         activeness::EvalMode::kIncremental,
-                     std::size_t shards = 0);
-
-  /// Scan plan evaluated at `t`. The returned reference stays valid until
-  /// the next plan_at call with a different `t` (which advances the
-  /// pipeline in place).
-  const activeness::ScanPlan& plan_at(util::TimePoint t);
-
-  /// Group of `user` per the latest evaluation at or before `t`
-  /// (Both-Inactive before any evaluation exists).
-  activeness::UserGroup group_at(trace::UserId user, util::TimePoint t) const;
-
-  /// Dense user -> group table of the latest evaluation at or before `t`,
-  /// or nullptr before any evaluation. Callers attributing *many* users at
-  /// one instant (end-of-year aggregation) fetch this once instead of
-  /// paying the timeline map lookup per user.
-  const std::vector<activeness::UserGroup>* group_lookup_at(
-      util::TimePoint t) const;
-
-  std::size_t user_count() const { return store_.user_count(); }
-  /// Wall time this timeline spent evaluating (Fig. 12b probe). Per
-  /// instance: two concurrent timelines each report only their own work.
-  double eval_seconds() const { return pipeline_.seconds(); }
-
-  activeness::EvalMode eval_mode() const { return pipeline_.mode(); }
-  std::size_t eval_shards() const { return pipeline_.shard_count(); }
-  /// Distinct group tables retained for historical attribution — the
-  /// timeline's memory bound (evaluations whose classification matched the
-  /// previous one are deduplicated away, and plans are never retained).
-  std::size_t group_history_size() const { return group_history_.size(); }
-  /// What the most recent plan_at advance did (delta sizes, skip counts).
-  const activeness::AdvanceStats& last_advance() const {
-    return last_advance_;
-  }
-
-  /// Build a timeline for a Titan scenario with the paper's two activity
-  /// types (job submissions as operations, publications as outcomes).
-  static ActivenessTimeline for_scenario(
-      const synth::TitanScenario& scenario,
-      activeness::EvaluationParams params,
-      activeness::EvalMode mode = activeness::EvalMode::kIncremental,
-      std::size_t shards = 0);
-
- private:
-  const activeness::ActivityCatalog* catalog_;
-  activeness::ActivityStore store_;
-  activeness::ShardedEvaluator pipeline_;
-  /// Group tables by evaluation instant; consecutive identical tables
-  /// collapse into the earliest entry (lookups still resolve correctly —
-  /// the collapsed entry has the same contents).
-  std::map<util::TimePoint, std::vector<activeness::UserGroup>> group_history_;
-  activeness::AdvanceStats last_advance_;
-};
-
-/// Policy adapter the replay loop drives.
-class RetentionDriver {
- public:
-  virtual ~RetentionDriver() = default;
-  virtual std::string name() const = 0;
-  virtual retention::PurgeReport trigger(fs::Vfs& vfs, util::TimePoint now,
-                                         std::uint64_t target_bytes) = 0;
-};
-
-class FltDriver final : public RetentionDriver {
- public:
-  FltDriver(retention::FltConfig config, ActivenessTimeline& timeline);
-  std::string name() const override;
-  retention::PurgeReport trigger(fs::Vfs& vfs, util::TimePoint now,
-                                 std::uint64_t target_bytes) override;
-
- private:
-  retention::FltPolicy policy_;
-  ActivenessTimeline* timeline_;
-};
-
-class ActiveDrDriver final : public RetentionDriver {
- public:
-  ActiveDrDriver(retention::ActiveDrConfig config,
-                 const trace::UserRegistry& registry,
-                 ActivenessTimeline& timeline);
-  void set_exemptions(retention::ExemptionList exemptions);
-  std::string name() const override;
-  retention::PurgeReport trigger(fs::Vfs& vfs, util::TimePoint now,
-                                 std::uint64_t target_bytes) override;
-
- private:
-  retention::ActiveDrPolicy policy_;
-  ActivenessTimeline* timeline_;
-};
-
-/// Value-based retention (§2's second family) through the replay loop.
-class ValueDriver final : public RetentionDriver {
- public:
-  ValueDriver(retention::ValueConfig config, ActivenessTimeline& timeline);
-  std::string name() const override;
-  retention::PurgeReport trigger(fs::Vfs& vfs, util::TimePoint now,
-                                 std::uint64_t target_bytes) override;
-
- private:
-  retention::ValuePolicy policy_;
-  ActivenessTimeline* timeline_;
-};
-
-/// Scratch-as-a-cache (§2, Monti et al.) through the replay loop.
-class ScratchCacheDriver final : public RetentionDriver {
- public:
-  ScratchCacheDriver(retention::ScratchCacheConfig config,
-                     ActivenessTimeline& timeline);
-  std::string name() const override;
-  retention::PurgeReport trigger(fs::Vfs& vfs, util::TimePoint now,
-                                 std::uint64_t target_bytes) override;
-
- private:
-  retention::ScratchCachePolicy policy_;
-  ActivenessTimeline* timeline_;
-};
-
-struct EmulatorConfig {
+struct ExperimentConfig {
+  /// File lifetime == activeness period length d (the paper sweeps one knob
+  /// for both: 7 / 30 / 60 / 90).
+  int lifetime_days = 90;
   int purge_interval_days = 7;
-  /// Purge target: utilization to reach, as a fraction of capacity
-  /// (the paper uses 0.5). <= 0 disables the target — every trigger purges
-  /// all expired files (strict FLT mode, Fig. 1).
+  /// Utilization each purge must reach (fraction of capacity); <= 0
+  /// disables the target — every trigger purges all expired files (strict
+  /// FLT mode, Fig. 1).
   double purge_target_utilization = 0.5;
+
+  /// The FLT side of run_comparison: true (default, the paper's setup) runs
+  /// the facility's strict FLT — every expired file is purged at every
+  /// trigger, no byte target. False gives FLT the same stop-at-target
+  /// mercy as ActiveDR (a what-if the ablation benches can probe).
+  bool flt_strict = true;
+
+  // ActiveDR knobs (§3.4 defaults).
+  int retrospective_passes = 5;
+  double retrospective_decay = 0.20;
+  activeness::LifetimeMode lifetime_mode =
+      activeness::LifetimeMode::kActiveCategoriesOnly;
+  activeness::ExponentScheme scheme =
+      activeness::ExponentScheme::kPaperExponent;
+  int max_periods = 0;
+  /// How the Service re-evaluates at each trigger (delta-aware by default;
+  /// kFull re-ranks everyone — the reference oracle). Full and incremental
+  /// are result-identical.
+  activeness::EvalMode eval_mode = activeness::EvalMode::kIncremental;
+  /// User-range shards for the trigger evaluations (0 = one per available
+  /// thread; identical results for every value).
+  std::size_t eval_shards = 0;
+
+  /// Optional reserved paths (purge exemption) applied to ActiveDR runs.
+  std::vector<std::string> exempt_paths;
+
   /// Model the paper's "expensive re-transmission": after a miss the user
   /// restores the file from the archive tier, so later accesses hit again
   /// (each purge therefore costs one counted miss per revisited file, not
@@ -181,18 +71,21 @@ struct EmulatorConfig {
   /// Every purge flows into the archive either way; restores account their
   /// bytes and modeled wait time (EmulationResult::archive).
   bool restore_on_miss = true;
-  /// Restore bandwidth/latency model for the archive tier.
-  fs::ArchiveConfig archive;
   /// Consistency-check mode: after every purge trigger, cross-verify the
   /// Vfs's purge index against a full trie walk (Vfs::verify_purge_index).
   /// O(files) per trigger — for tests and debugging, not production runs.
   bool audit_purge_index = false;
-  /// User-range shards for the trigger evaluations (activeness/sharded.hpp):
-  /// 0 = one per available thread (max 16). Forwarded
-  /// into the ActivenessTimeline by the experiment runners; identical
-  /// plans and victims for every value.
-  std::size_t eval_shards = 0;
 };
+
+/// The one ExperimentConfig -> Service mapping every run uses: Eq. 1–7 and
+/// the retrospective knobs, the purge target and the evaluation fan-out.
+core::ServiceConfig service_config(const ExperimentConfig& config);
+
+/// Register the paper's two activity types on a fresh `service` and feed it
+/// the scenario's job submissions (operations) and publications (outcomes)
+/// at weight 1.0.
+void ingest_scenario(core::Service& service,
+                     const synth::TitanScenario& scenario);
 
 /// Per-group aggregates over a whole emulation (the Fig. 9–11 numbers).
 struct GroupAggregate {
@@ -215,34 +108,24 @@ struct EmulationResult {
   std::uint64_t final_bytes = 0;
   std::size_t final_files = 0;
 
-  /// Wall-time attribution, derived from metrics-registry span snapshots
-  /// taken around the run ("emulator.replay" / "emulator.purge_trigger").
-  double replay_seconds = 0.0;  ///< access replay wall time
-  double purge_seconds = 0.0;   ///< retention (trigger) wall time
-
   /// Archive-tier accounting: what the year's purges displaced and what
   /// the misses cost to restore (bytes moved, modeled hours waited) — the
   /// §1/§2 re-transmission cost, quantified.
   fs::ArchiveStats archive;
 };
 
-class Emulator {
- public:
-  Emulator(const synth::TitanScenario& scenario, EmulatorConfig config,
-           ActivenessTimeline& timeline);
+/// One trigger's retention step: purge `service.vfs()` at `now`, freeing at
+/// least `target_bytes` (0 = no target). The Service has already been
+/// evaluated at `now`.
+using PurgeStep = std::function<retention::PurgeReport(
+    core::Service& service, util::TimePoint now, std::uint64_t target_bytes)>;
 
-  /// Replay the scenario's year under the given policy driver.
-  /// `target_utilization_override`, when >= 0, replaces the config's purge
-  /// target for this run — the paper's comparison pits the facility's
-  /// *strict* FLT (no target: every expired file goes) against ActiveDR
-  /// purging to the 50% target and stopping there.
-  EmulationResult run(RetentionDriver& driver,
-                      double target_utilization_override = -1.0);
-
- private:
-  const synth::TitanScenario* scenario_;
-  EmulatorConfig config_;
-  ActivenessTimeline* timeline_;
-};
+/// Replay the scenario's year with `step` at every trigger that has work
+/// (config.purge_target_utilization <= 0: every trigger). `policy` names
+/// the result. Wall time lands in the `emulator.replay` and
+/// `emulator.purge_trigger` spans.
+EmulationResult emulate(const synth::TitanScenario& scenario,
+                        const ExperimentConfig& config, std::string policy,
+                        const PurgeStep& step);
 
 }  // namespace adr::sim

@@ -2,60 +2,27 @@
 
 namespace adr::sim {
 
-activeness::EvaluationParams evaluation_params(const ExperimentConfig& config) {
-  activeness::EvaluationParams params;
-  params.period_length_days = config.lifetime_days;
-  params.scheme = config.scheme;
-  params.stale = config.stale;
-  params.max_periods = config.max_periods;
-  return params;
-}
-
 namespace {
 
-retention::ActiveDrConfig activedr_config(const ExperimentConfig& config) {
-  retention::ActiveDrConfig adr;
-  adr.initial_lifetime_days = config.lifetime_days;
-  adr.retrospective_passes = config.retrospective_passes;
-  adr.retrospective_decay = config.retrospective_decay;
-  adr.lifetime_mode = config.lifetime_mode;
-  return adr;
-}
-
-EmulatorConfig emulator_config(const ExperimentConfig& config) {
-  EmulatorConfig emu;
-  emu.purge_interval_days = config.purge_interval_days;
-  emu.purge_target_utilization = config.purge_target_utilization;
-  emu.eval_shards = config.eval_shards;
-  return emu;
-}
-
-retention::ExemptionList build_exemptions(const ExperimentConfig& config) {
-  retention::ExemptionList list;
-  for (const auto& p : config.exempt_paths) list.reserve(p);
-  return list;
+EmulationResult emulate_flt(const synth::TitanScenario& scenario,
+                            const ExperimentConfig& config) {
+  return emulate(
+      scenario, config,
+      retention::FltPolicy(retention::FltConfig{config.lifetime_days}).name(),
+      [](core::Service& service, util::TimePoint now, std::uint64_t target) {
+        return service.purge_flt(now, target);
+      });
 }
 
 }  // namespace
 
 ComparisonResult run_comparison(const synth::TitanScenario& scenario,
                                 const ExperimentConfig& config) {
-  ActivenessTimeline timeline =
-      ActivenessTimeline::for_scenario(scenario, evaluation_params(config),
-                                       config.eval_mode, config.eval_shards);
-  Emulator emulator(scenario, emulator_config(config), timeline);
-
   ComparisonResult result;
-  {
-    FltDriver flt(retention::FltConfig{config.lifetime_days}, timeline);
-    result.flt = emulator.run(
-        flt, config.flt_strict ? 0.0 : config.purge_target_utilization);
-  }
-  {
-    ActiveDrDriver adr(activedr_config(config), scenario.registry, timeline);
-    adr.set_exemptions(build_exemptions(config));
-    result.activedr = emulator.run(adr);
-  }
+  ExperimentConfig flt = config;
+  if (config.flt_strict) flt.purge_target_utilization = 0.0;
+  result.flt = emulate_flt(scenario, flt);
+  result.activedr = run_activedr(scenario, config);
   // Group populations at the final evaluation (identical for both runs).
   for (std::size_t g = 0; g < activeness::kGroupCount; ++g) {
     result.final_group_counts[g] = result.activedr.groups[g].users_in_group;
@@ -65,14 +32,9 @@ ComparisonResult run_comparison(const synth::TitanScenario& scenario,
 
 EmulationResult run_flt_strict(const synth::TitanScenario& scenario,
                                const ExperimentConfig& config) {
-  ActivenessTimeline timeline =
-      ActivenessTimeline::for_scenario(scenario, evaluation_params(config),
-                                       config.eval_mode, config.eval_shards);
-  EmulatorConfig emu = emulator_config(config);
-  emu.purge_target_utilization = 0.0;  // strict: purge every expired file
-  Emulator emulator(scenario, emu, timeline);
-  FltDriver flt(retention::FltConfig{config.lifetime_days}, timeline);
-  return emulator.run(flt);
+  ExperimentConfig strict = config;
+  strict.purge_target_utilization = 0.0;  // purge every expired file
+  return emulate_flt(scenario, strict);
 }
 
 fs::Vfs build_state_at(const synth::TitanScenario& scenario,
@@ -114,35 +76,18 @@ fs::Vfs build_state_at(const synth::TitanScenario& scenario,
   return vfs;
 }
 
-namespace {
-
-fs::Vfs clone_state(const fs::Vfs& vfs) {
-  fs::Vfs copy;
-  copy.import_snapshot(vfs.export_snapshot());
-  copy.set_capacity_bytes(vfs.capacity_bytes());
-  return copy;
-}
-
-}  // namespace
-
 SnapshotRetentionResult run_snapshot_retention(
     const synth::TitanScenario& scenario, const ExperimentConfig& config,
     util::TimePoint as_of) {
   const fs::Vfs state = build_state_at(scenario, as_of);
+  const trace::Snapshot snapshot = state.export_snapshot();
 
-  ActivenessTimeline timeline =
-      ActivenessTimeline::for_scenario(scenario, evaluation_params(config),
-                                       config.eval_mode, config.eval_shards);
-  const activeness::ScanPlan& plan = timeline.plan_at(as_of);
+  core::Service service(scenario.registry, service_config(config));
+  ingest_scenario(service, scenario);
+  service.evaluate(as_of);
 
   SnapshotRetentionResult result;
-  for (std::size_t g = 0; g < activeness::kGroupCount; ++g) {
-    result.group_counts[g] =
-        plan.group(static_cast<activeness::UserGroup>(g)).size();
-  }
-  const retention::GroupOf group_of = [&](trace::UserId user) {
-    return timeline.group_at(user, as_of);
-  };
+  result.group_counts = service.group_counts();
 
   // Both policies chase the same byte target from identical states. The
   // paper defines this experiment's "total capacity" as the synthesized
@@ -151,29 +96,28 @@ SnapshotRetentionResult run_snapshot_retention(
   const std::uint64_t target = static_cast<std::uint64_t>(
       static_cast<double>(state.total_bytes()) *
       (1.0 - config.purge_target_utilization));
-  {
-    fs::Vfs vfs = clone_state(state);
-    retention::FltPolicy flt(retention::FltConfig{config.lifetime_days});
-    flt.set_group_of(group_of);
-    result.flt = flt.run(vfs, as_of, target);
-  }
-  {
-    fs::Vfs vfs = clone_state(state);
-    retention::ActiveDrPolicy adr(activedr_config(config), scenario.registry);
-    result.activedr = adr.run(vfs, as_of, target, plan);
-  }
+  const auto reset_state = [&] {
+    service.vfs().clear();
+    service.load_snapshot(snapshot);
+    service.vfs().set_capacity_bytes(state.capacity_bytes());
+  };
+  reset_state();
+  result.flt = service.purge_flt(as_of, target);
+  reset_state();
+  result.activedr = service.purge(as_of, target);
   return result;
 }
 
 EmulationResult run_activedr(const synth::TitanScenario& scenario,
                              const ExperimentConfig& config) {
-  ActivenessTimeline timeline =
-      ActivenessTimeline::for_scenario(scenario, evaluation_params(config),
-                                       config.eval_mode, config.eval_shards);
-  Emulator emulator(scenario, emulator_config(config), timeline);
-  ActiveDrDriver adr(activedr_config(config), scenario.registry, timeline);
-  adr.set_exemptions(build_exemptions(config));
-  return emulator.run(adr);
+  return emulate(
+      scenario, config,
+      retention::ActiveDrPolicy(
+          retention::ActiveDrConfig{config.lifetime_days}, scenario.registry)
+          .name(),
+      [](core::Service& service, util::TimePoint now, std::uint64_t target) {
+        return service.purge(now, target);
+      });
 }
 
 }  // namespace adr::sim

@@ -1,5 +1,5 @@
 #pragma once
-// Paper-experiment runner: wires a Titan scenario, an activeness timeline,
+// Paper-experiment runner: wires a Titan scenario, a core::Service per run,
 // and the two policies into the §4 evaluation procedure, so every bench
 // binary is a thin printer over one of these runs.
 
@@ -7,47 +7,9 @@
 
 namespace adr::sim {
 
-struct ExperimentConfig {
-  /// File lifetime == activeness period length d (the paper sweeps one knob
-  /// for both: 7 / 30 / 60 / 90).
-  int lifetime_days = 90;
-  int purge_interval_days = 7;
-  /// Utilization ActiveDR's purge must reach (fraction of capacity); <= 0
-  /// disables the target.
-  double purge_target_utilization = 0.5;
-
-  /// The FLT side of run_comparison: true (default, the paper's setup) runs
-  /// the facility's strict FLT — every expired file is purged at every
-  /// trigger, no byte target. False gives FLT the same stop-at-target
-  /// mercy as ActiveDR (a what-if the ablation benches can probe).
-  bool flt_strict = true;
-
-  // ActiveDR knobs (§3.4 defaults).
-  int retrospective_passes = 5;
-  double retrospective_decay = 0.20;
-  activeness::LifetimeMode lifetime_mode =
-      activeness::LifetimeMode::kActiveCategoriesOnly;
-  activeness::ExponentScheme scheme =
-      activeness::ExponentScheme::kPaperExponent;
-  activeness::StaleHandling stale = activeness::StaleHandling::kClampOldest;
-  int max_periods = 0;
-  /// How the timeline re-evaluates at each trigger (delta-aware by default;
-  /// kFull re-ranks everyone — the reference oracle). Full and incremental
-  /// are result-identical.
-  activeness::EvalMode eval_mode = activeness::EvalMode::kIncremental;
-  /// User-range shards for the trigger evaluations (0 = one per available
-  /// thread; identical results for every value).
-  std::size_t eval_shards = 0;
-
-  /// Optional reserved paths (purge exemption) applied to ActiveDR runs.
-  std::vector<std::string> exempt_paths;
-};
-
-activeness::EvaluationParams evaluation_params(const ExperimentConfig& config);
-
-/// A full FLT-vs-ActiveDR comparison on one scenario (both replays share one
-/// activeness timeline, so classifications — and thus per-group metrics —
-/// are identical across the two runs).
+/// A full FLT-vs-ActiveDR comparison on one scenario. Each replay evaluates
+/// at every trigger instant, so classifications — and thus per-group
+/// metrics — are identical across the two runs.
 struct ComparisonResult {
   EmulationResult flt;
   EmulationResult activedr;
@@ -85,7 +47,8 @@ fs::Vfs build_state_at(const synth::TitanScenario& scenario,
                        util::TimePoint as_of, int facility_lifetime_days = 90,
                        int purge_interval_days = 7);
 
-/// ActiveDR alone (e.g. for ablation sweeps).
+/// ActiveDR alone (e.g. for ablation sweeps); field for field the same
+/// result as run_comparison(...).activedr.
 EmulationResult run_activedr(const synth::TitanScenario& scenario,
                              const ExperimentConfig& config);
 

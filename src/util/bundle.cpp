@@ -1,5 +1,6 @@
 #include "util/bundle.hpp"
 
+#include <charconv>
 #include <cstdio>
 #include <filesystem>
 #include <sstream>
@@ -21,6 +22,15 @@ std::string hex8(std::uint32_t v) {
   char buf[16];
   std::snprintf(buf, sizeof(buf), "%08x", v);
   return buf;
+}
+
+/// Strict field parse: the whole field must be one unsigned number in
+/// `base` (no sign, no whitespace, no trailing junk, no overflow).
+template <typename T>
+bool parse_field(const std::string& field, T& out, int base = 10) {
+  const char* end = field.data() + field.size();
+  const auto [ptr, ec] = std::from_chars(field.data(), end, out, base);
+  return ec == std::errc() && ptr == end;
 }
 
 }  // namespace
@@ -99,11 +109,8 @@ BundleCheck verify_bundle(const std::string& dir) {
     }
     BundleMember m;
     m.name = (*row)[0];
-    try {
-      m.crc32 = static_cast<std::uint32_t>(
-          std::stoul((*row)[1], nullptr, 16));
-      m.bytes = std::stoull((*row)[2]);
-    } catch (const std::exception&) {
+    if (!parse_field((*row)[1], m.crc32, 16) ||
+        !parse_field((*row)[2], m.bytes)) {
       return invalid("manifest row " + std::to_string(reader.line()) +
                      " malformed");
     }

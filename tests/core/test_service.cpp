@@ -612,6 +612,31 @@ TEST_F(EngineTest, PurgeFltBaseline) {
   EXPECT_TRUE(service_.vfs().exists("/scratch/user_00000/new"));
 }
 
+TEST_F(ServiceTest, FltReportAttributesGroupsByLatestEvaluation) {
+  Service service(trace::UserRegistry::with_synthetic_users(2),
+                  ServiceConfig{});
+  const auto op = service.register_operation_type("job_submission");
+  // user0 op-active (the PurgeUsesActiveness history), user1 silent.
+  for (int p = 0; p < 3; ++p) {
+    for (int k = 0; k < 3; ++k) {
+      service.record(0, op, kNow - util::days(90 * p + 10 + k * 20),
+                     p == 0 ? 200.0 : 100.0);
+    }
+  }
+  service.vfs().create("/scratch/user_00000/stale", meta(0, 100, 120));
+  service.vfs().create("/scratch/user_00001/stale", meta(1, 50, 120));
+  service.evaluate(kNow);
+  ASSERT_EQ(service.group_of(0), activeness::UserGroup::kOperationActiveOnly);
+
+  const auto report = service.purge_flt(kNow, 0);
+  EXPECT_EQ(report.purged_bytes, 150u);
+  EXPECT_EQ(
+      report.group(activeness::UserGroup::kOperationActiveOnly).purged_bytes,
+      100u);
+  EXPECT_EQ(report.group(activeness::UserGroup::kBothInactive).purged_bytes,
+            50u);
+}
+
 TEST_F(EngineTest, SnapshotLoading) {
   trace::Snapshot snap;
   trace::SnapshotEntry e;

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <string>
+
+#include "obs/metrics.hpp"
 #include "sim/experiment.hpp"
 
 namespace adr::sim {
@@ -29,24 +33,22 @@ class EmulatorTest : public ::testing::Test {
 
 const synth::TitanScenario* EmulatorTest::scenario_ = nullptr;
 
-TEST_F(EmulatorTest, TimelineEvaluatesAndCaches) {
-  ActivenessTimeline timeline = ActivenessTimeline::for_scenario(
-      *scenario_, activeness::EvaluationParams{90, scenario_->sim_begin});
-  const auto& plan1 = timeline.plan_at(scenario_->sim_begin);
-  const auto& plan2 = timeline.plan_at(scenario_->sim_begin);
-  EXPECT_EQ(&plan1, &plan2);  // cached
-  EXPECT_EQ(plan1.total_users(), scenario_->registry.size());
-}
-
-TEST_F(EmulatorTest, TimelineGroupLookupUsesLatestEval) {
-  ActivenessTimeline timeline = ActivenessTimeline::for_scenario(
-      *scenario_, activeness::EvaluationParams{90, 0});
+TEST_F(EmulatorTest, ServiceGroupOfUsesLatestEvaluation) {
+  core::Service service(scenario_->registry, service_config({}));
+  ingest_scenario(service, *scenario_);
   // Before any evaluation: everything is Both-Inactive.
-  EXPECT_EQ(timeline.group_at(0, scenario_->sim_begin),
-            activeness::UserGroup::kBothInactive);
-  timeline.plan_at(scenario_->sim_begin);
-  // Lookups before the eval instant still fall back to Both-Inactive.
-  EXPECT_EQ(timeline.group_at(0, scenario_->sim_begin - 1),
+  EXPECT_EQ(service.group_of(0), activeness::UserGroup::kBothInactive);
+  service.evaluate(scenario_->sim_begin);
+  std::array<std::size_t, activeness::kGroupCount> counts{};
+  for (trace::UserId u = 0; u < scenario_->registry.size(); ++u) {
+    EXPECT_EQ(service.group_of(u),
+              activeness::classify(service.activeness_of(u)));
+    ++counts[static_cast<std::size_t>(service.group_of(u))];
+  }
+  EXPECT_EQ(counts, service.group_counts());
+  // Ids outside the registry fall back to Both-Inactive.
+  EXPECT_EQ(service.group_of(
+                static_cast<trace::UserId>(scenario_->registry.size())),
             activeness::UserGroup::kBothInactive);
 }
 
@@ -125,17 +127,12 @@ TEST_F(EmulatorTest, AuditModeFindsIndexConsistentAllYear) {
   // audit_purge_index cross-verifies the purge index against a trie walk
   // after every trigger; a year of replay with ~52 purges must log zero
   // failures.
-  ActivenessTimeline timeline = ActivenessTimeline::for_scenario(
-      *scenario_, activeness::EvaluationParams{90, scenario_->sim_begin});
-  EmulatorConfig config;
+  ExperimentConfig config;
   config.audit_purge_index = true;
-  Emulator emulator(*scenario_, config, timeline);
-  ActiveDrDriver driver(retention::ActiveDrConfig{}, scenario_->registry,
-                        timeline);
   obs::Counter& failures =
       obs::MetricsRegistry::global().counter("purge_index.audit_failures");
   const std::uint64_t before = failures.value();
-  const EmulationResult r = emulator.run(driver);
+  const EmulationResult r = run_activedr(*scenario_, config);
   EXPECT_FALSE(r.purges.empty());
   EXPECT_EQ(failures.value(), before);
 }
@@ -189,38 +186,52 @@ TEST_F(EmulatorTest, EvalModesProduceIdenticalReportsForBothPolicies) {
   EXPECT_EQ(full.activedr.final_bytes, inc.activedr.final_bytes);
 }
 
-TEST_F(EmulatorTest, EvalSecondsAreScopedPerTimeline) {
-  // Two live timelines: work done by one must not leak into the other's
-  // Fig. 12b probe (the old implementation read a process-global span).
-  ActivenessTimeline worked = ActivenessTimeline::for_scenario(
-      *scenario_, activeness::EvaluationParams{90, 0});
-  ActivenessTimeline idle = ActivenessTimeline::for_scenario(
-      *scenario_, activeness::EvaluationParams{90, 0});
-  worked.plan_at(scenario_->sim_begin);
-  worked.plan_at(scenario_->sim_begin + util::days(7));
-  EXPECT_GT(worked.eval_seconds(), 0.0);
-  EXPECT_EQ(idle.eval_seconds(), 0.0);
+void expect_same_result(const EmulationResult& a, const EmulationResult& b) {
+  EXPECT_EQ(a.policy, b.policy);
+  ASSERT_EQ(a.daily.size(), b.daily.size());
+  for (std::size_t d = 0; d < a.daily.size(); ++d) {
+    SCOPED_TRACE("day " + std::to_string(d));
+    EXPECT_EQ(a.daily[d].day, b.daily[d].day);
+    EXPECT_EQ(a.daily[d].accesses, b.daily[d].accesses);
+    EXPECT_EQ(a.daily[d].misses, b.daily[d].misses);
+    EXPECT_EQ(a.daily[d].misses_by_group, b.daily[d].misses_by_group);
+    EXPECT_EQ(a.daily[d].accesses_by_group, b.daily[d].accesses_by_group);
+  }
+  ASSERT_EQ(a.purges.size(), b.purges.size());
+  for (std::size_t i = 0; i < a.purges.size(); ++i) {
+    expect_same_report(a.purges[i], b.purges[i]);
+  }
+  for (std::size_t g = 0; g < activeness::kGroupCount; ++g) {
+    EXPECT_EQ(a.groups[g].purged_bytes, b.groups[g].purged_bytes);
+    EXPECT_EQ(a.groups[g].purged_files, b.groups[g].purged_files);
+    EXPECT_EQ(a.groups[g].retained_bytes, b.groups[g].retained_bytes);
+    EXPECT_EQ(a.groups[g].retained_files, b.groups[g].retained_files);
+    EXPECT_EQ(a.groups[g].unique_affected_users,
+              b.groups[g].unique_affected_users);
+    EXPECT_EQ(a.groups[g].users_in_group, b.groups[g].users_in_group);
+  }
+  EXPECT_EQ(a.total_accesses, b.total_accesses);
+  EXPECT_EQ(a.total_misses, b.total_misses);
+  EXPECT_EQ(a.final_bytes, b.final_bytes);
+  EXPECT_EQ(a.final_files, b.final_files);
+  EXPECT_EQ(a.archive.archived_bytes, b.archive.archived_bytes);
+  EXPECT_EQ(a.archive.archived_files, b.archive.archived_files);
+  EXPECT_EQ(a.archive.restored_bytes, b.archive.restored_bytes);
+  EXPECT_EQ(a.archive.restore_count, b.archive.restore_count);
+  EXPECT_EQ(a.archive.restore_misses, b.archive.restore_misses);
+  EXPECT_EQ(a.archive.restore_hours, b.archive.restore_hours);
 }
 
-TEST_F(EmulatorTest, GroupHistoryDeduplicatesUnchangedClassifications) {
-  // All activity sits far in the past: every trigger re-evaluates to the
-  // same classification, so the attribution history must stay at one entry
-  // no matter how many triggers fire (the satellite memory bound).
-  const activeness::ActivityCatalog& catalog =
-      activeness::ActivityCatalog::paper_default();
-  activeness::ActivityStore store(20, catalog.size());
-  const util::TimePoint t0 = scenario_->sim_begin;
-  store.add(0, 0, activeness::Activity{t0 - util::days(700), 10.0});
-  store.add(0, 0, activeness::Activity{t0 - util::days(650), 10.0});
-  store.add(1, 1, activeness::Activity{t0 - util::days(500), 5.0});
-  ActivenessTimeline timeline(catalog, std::move(store),
-                              activeness::EvaluationParams{90, 0});
-  for (int week = 0; week < 10; ++week) {
-    timeline.plan_at(t0 + util::days(7 * week));
-  }
-  EXPECT_EQ(timeline.group_history_size(), 1u);
-  EXPECT_EQ(timeline.group_at(0, t0 + util::days(70)),
-            activeness::UserGroup::kBothInactive);
+TEST_F(EmulatorTest, ActiveDrAloneMatchesComparisonRun) {
+  // Both runs classify at every weekly trigger, fired or skipped, so the
+  // standalone run attributes each miss to the same group as the
+  // comparison's ActiveDR side. On this scenario some triggers find
+  // utilization already under target and skip their purge.
+  ExperimentConfig config;
+  const EmulationResult alone = run_activedr(*scenario_, config);
+  const ComparisonResult both = run_comparison(*scenario_, config);
+  EXPECT_LT(alone.purges.size(), both.flt.purges.size());
+  expect_same_result(alone, both.activedr);
 }
 
 TEST_F(EmulatorTest, ActiveDrReducesMissesForActiveUsers) {

@@ -47,22 +47,11 @@ TEST_F(ExperimentTest, StrictFltPurgesAtLeastAsMuchAsTargeted) {
 }
 
 TEST_F(ExperimentTest, RestoreOnMissBoundsRepeatMisses) {
-  ExperimentConfig config;
-  ActivenessTimeline t1 = ActivenessTimeline::for_scenario(
-      *scenario_, evaluation_params(config));
-  EmulatorConfig with, without;
+  ExperimentConfig with, without;
   with.restore_on_miss = true;
   without.restore_on_miss = false;
-
-  FltDriver flt1(retention::FltConfig{90}, t1);
-  Emulator e1(*scenario_, with, t1);
-  const EmulationResult restored = e1.run(flt1, 0.0);
-
-  ActivenessTimeline t2 = ActivenessTimeline::for_scenario(
-      *scenario_, evaluation_params(config));
-  FltDriver flt2(retention::FltConfig{90}, t2);
-  Emulator e2(*scenario_, without, t2);
-  const EmulationResult unrestored = e2.run(flt2, 0.0);
+  const EmulationResult restored = run_flt_strict(*scenario_, with);
+  const EmulationResult unrestored = run_flt_strict(*scenario_, without);
 
   EXPECT_EQ(restored.total_accesses, unrestored.total_accesses);
   EXPECT_LT(restored.total_misses, unrestored.total_misses);
@@ -142,15 +131,32 @@ TEST_F(ExperimentTest, SnapshotRetentionIsDeterministic) {
   EXPECT_EQ(a.activedr.purged_bytes, b.activedr.purged_bytes);
 }
 
-TEST_F(ExperimentTest, EvaluationParamsMirrorConfig) {
+TEST_F(ExperimentTest, ServiceConfigMirrorsExperimentConfig) {
   ExperimentConfig config;
   config.lifetime_days = 30;
+  config.purge_target_utilization = 0.4;
+  config.retrospective_passes = 3;
+  config.retrospective_decay = 0.5;
+  config.lifetime_mode = activeness::LifetimeMode::kLiteralEq7;
   config.scheme = activeness::ExponentScheme::kUniform;
   config.max_periods = 12;
-  const auto params = evaluation_params(config);
-  EXPECT_EQ(params.period_length_days, 30);
-  EXPECT_EQ(params.scheme, activeness::ExponentScheme::kUniform);
-  EXPECT_EQ(params.max_periods, 12);
+  config.eval_mode = activeness::EvalMode::kFull;
+  config.eval_shards = 3;
+  const core::ServiceConfig service = service_config(config);
+  EXPECT_EQ(service.lifetime_days, 30);
+  EXPECT_EQ(service.purge_target_utilization, 0.4);
+  EXPECT_EQ(service.retrospective_passes, 3);
+  EXPECT_EQ(service.retrospective_decay, 0.5);
+  EXPECT_EQ(service.lifetime_mode, activeness::LifetimeMode::kLiteralEq7);
+  EXPECT_EQ(service.scheme, activeness::ExponentScheme::kUniform);
+  EXPECT_EQ(service.max_periods, 12);
+  EXPECT_EQ(service.eval_mode, activeness::EvalMode::kFull);
+  EXPECT_EQ(service.eval_shards, 3u);
+  // Per-run execution knobs stay at the Service defaults.
+  const core::ServiceConfig defaults;
+  EXPECT_EQ(service.scan_mode, defaults.scan_mode);
+  EXPECT_EQ(service.dry_run, defaults.dry_run);
+  EXPECT_EQ(service.record_victims, defaults.record_victims);
 }
 
 TEST_F(ExperimentTest, ExemptPathsSurviveActiveDrReplay) {

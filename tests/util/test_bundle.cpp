@@ -4,8 +4,11 @@
 
 #include <unistd.h>
 
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <string>
+#include <vector>
 
 #include "util/fault.hpp"
 #include "util/io.hpp"
@@ -92,6 +95,38 @@ TEST_F(BundleTest, TruncatedManifestInvalidatesBundle) {
   const std::string manifest = dir_ + "/" + kBundleManifestName;
   fsys::resize_file(manifest, fsys::file_size(manifest) / 2);
   EXPECT_EQ(verify_bundle(dir_).state, BundleState::kInvalid);
+}
+
+TEST_F(BundleTest, TrailingJunkInManifestFieldsIsInvalid) {
+  write_member("a.csv", "abcdef\n");  // 7 payload bytes
+  const std::vector<BundleMember> members = commit_bundle(dir_, {"a.csv"});
+  ASSERT_EQ(members.size(), 1u);
+  char crc[16];
+  std::snprintf(crc, sizeof(crc), "%08x", members[0].crc32);
+  const auto reseal = [&](const std::string& row) {
+    AtomicWriter writer(dir_ + "/" + kBundleManifestName);
+    writer.write("member,crc32,bytes\n" + row + "\n");
+    writer.commit();
+  };
+  reseal(std::string("a.csv,") + crc + ",7");  // control: the exact fields
+  ASSERT_TRUE(verify_bundle(dir_).valid());
+
+  // Re-footered manifests whose fields only *start* with the right numbers:
+  // a lenient parse would read crc/bytes from the prefixes and say kValid.
+  const std::string rows[] = {
+      std::string("a.csv,") + crc + "zz,7.9junk",
+      std::string("a.csv,") + crc + "zz,7",
+      std::string("a.csv,") + crc + ",7.9junk",
+      std::string("a.csv,") + crc + ", 7",
+      std::string("a.csv,") + crc + ",",
+  };
+  for (const std::string& row : rows) {
+    SCOPED_TRACE(row);
+    reseal(row);
+    const BundleCheck check = verify_bundle(dir_);
+    EXPECT_EQ(check.state, BundleState::kInvalid);
+    EXPECT_NE(check.error.find("malformed"), std::string::npos) << check.error;
+  }
 }
 
 TEST_F(BundleTest, ResealAfterMemberChangeRestoresValidity) {
