@@ -5,13 +5,15 @@
 #include <limits>
 #include <map>
 #include <fstream>
+#include <optional>
 #include <ostream>
 #include <string>
+#include <utility>
 
-#include "activeness/sharded.hpp"
 #include "activeness/rank_store.hpp"
 #include "cli/flags.hpp"
 #include "cli/serve_commands.hpp"
+#include "core/service.hpp"
 #include "obs/metrics.hpp"
 #include "retention/ledger.hpp"
 #include "sim/experiment.hpp"
@@ -58,7 +60,6 @@ commands:
             [--ranks F] [--jobs F] [--pubs F] [--lifetime D]
             [--target FRACTION] [--exempt FILE]
             [--out-snapshot F] [--ledger F] [--dry-run] [--victims F]
-            [--scan-mode auto|walk|indexed]
             [--eval-mode incremental|full] [--shards N]
             [--check-index]
             One retention pass over a snapshot. --target is the fraction of
@@ -67,8 +68,8 @@ commands:
             to evaluate inline at --now; FLT needs neither. --ledger appends
             the run to an audit CSV; --dry-run selects victims without
             deleting; --victims writes the purge list (one path per line).
-            --scan-mode picks the victim scan: the maintained atime index
-            or the legacy namespace walk (auto chooses per policy).
+            Both policies read expired files off the maintained atime
+            index; FLT purges them in namespace order up to a target.
             --eval-mode picks how the inline evaluation runs: delta-aware
             (default) or the full re-evaluation oracle (see
             activeness/sharded.hpp; both modes rank identically).
@@ -119,7 +120,7 @@ commands:
 
   serve     --wal DIR --state DIR --users F [--snapshot F] [--lifetime D]
             [--eval-mode incremental|full] [--shards N]
-            [--scan-mode auto|walk|indexed] [--checkpoint-every N]
+            [--checkpoint-every N]
             [--poll-ms MS] [--max-ticks N] [--metrics-interval TICKS]
             [--exempt FILE] [--no-seal-on-stop]
             [--ingest-queue-cap N] [--backpressure block|shed|spill]
@@ -298,53 +299,45 @@ std::vector<std::string> split_list(const std::string& csv) {
 
 int cmd_evaluate(const util::Config& config, std::ostream& out) {
   IngestOptions ingest(config);
-  const auto registry =
+  auto registry =
       trace::UserRegistry::load_csv(require_str(config, "users"), ingest.opts);
   const auto jobs =
       trace::JobLog::load_csv(require_str(config, "jobs"), ingest.opts);
   const util::TimePoint now = require_date(config, "now");
 
-  // Catalog: the paper's two types plus one extra type per activity CSV.
-  activeness::ActivityCatalog catalog =
-      activeness::ActivityCatalog::paper_default();
-  const auto op_files = split_list(config.get_string("op-activities", ""));
-  const auto oc_files = split_list(config.get_string("oc-activities", ""));
-  std::vector<std::pair<activeness::ActivityTypeId, std::string>> extra;
-  for (const auto& f : op_files) {
-    extra.emplace_back(
-        catalog.add({f, activeness::ActivityCategory::kOperation, 1.0}), f);
-  }
-  for (const auto& f : oc_files) {
-    extra.emplace_back(
-        catalog.add({f, activeness::ActivityCategory::kOutcome, 1.0}), f);
-  }
+  core::ServiceConfig service_config;
+  service_config.lifetime_days =
+      static_cast<int>(config.get_int("period-days", 90));
+  service_config.eval_mode = eval_mode_flag(config);
+  service_config.eval_shards = eval_shards_flag(config);
+  core::Service service(std::move(registry), service_config);
 
-  activeness::ActivityStore store(registry.size(), catalog.size());
-  activeness::ingest_jobs(store, 0, 1.0, jobs);
+  // Catalog: the paper's two types plus one extra type per activity CSV.
+  service.register_paper_types();
+  service.ingest_jobs(jobs, core::kJobActivityType);
   if (const auto pubs_path = config.get("pubs")) {
-    const auto pubs = trace::PublicationLog::load_csv(*pubs_path, ingest.opts);
-    activeness::ingest_publications(store, 1, 1.0, pubs);
+    service.ingest_publications(
+        trace::PublicationLog::load_csv(*pubs_path, ingest.opts),
+        core::kPublicationActivityType);
   }
-  for (const auto& [type, file] : extra) {
-    const std::size_t n =
-        activeness::ingest_activities_csv(store, type, 1.0, file, ingest.opts);
+  const auto ingest_extra = [&](const std::string& file,
+                                activeness::ActivityTypeId type) {
+    const std::size_t n = activeness::ingest_activities_csv(
+        service.store(), type, 1.0, file, ingest.opts);
     out << "Ingested " << n << " activities from " << file << "\n";
+  };
+  for (const auto& f : split_list(config.get_string("op-activities", ""))) {
+    ingest_extra(f, service.register_operation_type(f));
   }
-  store.sort_all();
+  for (const auto& f : split_list(config.get_string("oc-activities", ""))) {
+    ingest_extra(f, service.register_outcome_type(f));
+  }
   ingest.report(out);
 
-  activeness::EvaluationParams params;
-  params.period_length_days =
-      static_cast<int>(config.get_int("period-days", 90));
-  activeness::ShardedEvaluator pipeline(catalog, params,
-                                        eval_mode_flag(config),
-                                        eval_shards_flag(config));
-  pipeline.advance(store, now);
-  activeness::RankStore ranks(pipeline.users());
-
+  const activeness::RankStore& ranks = service.evaluate(now);
   out << "Evaluated " << ranks.size() << " users at "
       << util::format_date(now) << " (period "
-      << params.period_length_days << " days)\n";
+      << service_config.lifetime_days << " days)\n";
   print_matrix(ranks, out);
 
   if (const auto out_path = config.get("out")) {
@@ -367,42 +360,31 @@ int cmd_purge(const util::Config& config, std::ostream& out) {
   IngestOptions ingest(config);
   const auto snapshot =
       trace::Snapshot::load_csv(require_str(config, "snapshot"), ingest.opts);
-  const auto registry =
+  auto registry =
       trace::UserRegistry::load_csv(require_str(config, "users"), ingest.opts);
   const util::TimePoint now = require_date(config, "now");
-  const int lifetime = static_cast<int>(config.get_int("lifetime", 90));
-  const double retain_fraction = config.get_double("target", 0.5);
   const std::string policy_name =
       config.get_string("policy", "activedr");
 
-  fs::Vfs vfs;
-  vfs.import_snapshot(snapshot);
-  const std::uint64_t target =
-      retain_fraction > 0.0
-          ? static_cast<std::uint64_t>(
-                static_cast<double>(vfs.total_bytes()) * (1.0 - retain_fraction))
-          : 0;
-
-  const bool dry_run = config.get_bool("dry-run", false);
-  const bool want_victims = config.contains("victims");
-  const retention::ScanMode scan_mode = scan_mode_flag(config);
+  core::ServiceConfig service_config;
+  service_config.lifetime_days =
+      static_cast<int>(config.get_int("lifetime", 90));
+  service_config.dry_run = config.get_bool("dry-run", false);
+  service_config.record_victims = config.contains("victims");
   // Validated up front (even for FLT, which never evaluates) so a typo
   // fails fast instead of being silently ignored.
-  const activeness::EvalMode eval_mode = eval_mode_flag(config);
-  const std::size_t eval_shards = eval_shards_flag(config);
+  service_config.eval_mode = eval_mode_flag(config);
+  service_config.eval_shards = eval_shards_flag(config);
+  core::Service service(std::move(registry), service_config);
+  service.load_snapshot(snapshot);
+  const std::uint64_t target = retention::retain_target_bytes(
+      service.vfs(), config.get_double("target", 0.5));
 
   retention::PurgeReport report;
   if (policy_name == "flt") {
-    retention::FltConfig flt_config;
-    flt_config.lifetime_days = lifetime;
-    flt_config.dry_run = dry_run;
-    flt_config.record_victims = want_victims;
-    flt_config.scan_mode = scan_mode;
-    const retention::FltPolicy policy(flt_config);
-    report = policy.run(vfs, now, target);
+    report = service.purge_flt(now, target);
   } else if (policy_name == "activedr") {
-    activeness::RankStore ranks;
-    bool have_ranks = false;
+    std::optional<activeness::RankStore> ranks;
     if (const auto ranks_path = config.get("ranks")) {
       // A damaged store must never order a purge: try_load_csv quarantines
       // corrupt/unparseable files, and when the trace inputs are also on the
@@ -411,7 +393,6 @@ int cmd_purge(const util::Config& config, std::ostream& out) {
       auto loaded = activeness::RankStore::try_load_csv(*ranks_path);
       if (loaded.ok) {
         ranks = std::move(loaded.store);
-        have_ranks = true;
       } else if (config.contains("jobs")) {
         out << "WARNING: rank store " << *ranks_path << " unusable ("
             << loaded.error << ")";
@@ -425,48 +406,37 @@ int cmd_purge(const util::Config& config, std::ostream& out) {
                                  ") and no --jobs to re-evaluate from");
       }
     }
-    if (!have_ranks && config.contains("jobs")) {
-      // Inline evaluation at --now through the incremental pipeline — the
-      // single-binary path for sites that don't persist rank stores, and the
-      // fallback when a persisted store failed verification.
-      const auto jobs =
-          trace::JobLog::load_csv(require_str(config, "jobs"), ingest.opts);
-      const activeness::ActivityCatalog catalog =
-          activeness::ActivityCatalog::paper_default();
-      activeness::ActivityStore store(registry.size(), catalog.size());
-      activeness::ingest_jobs(store, 0, 1.0, jobs);
-      if (const auto pubs_path = config.get("pubs")) {
-        const auto pubs =
-            trace::PublicationLog::load_csv(*pubs_path, ingest.opts);
-        activeness::ingest_publications(store, 1, 1.0, pubs);
-      }
-      activeness::ShardedEvaluator pipeline(
-          catalog, activeness::EvaluationParams{lifetime}, eval_mode,
-          eval_shards);
-      pipeline.advance(store, now);
-      ranks = activeness::RankStore(pipeline.users());
-      have_ranks = true;
-    }
-    if (!have_ranks) {
+    if (!ranks && !config.contains("jobs")) {
       throw std::runtime_error(
           "activedr policy needs --ranks or --jobs (for inline evaluation)");
     }
-    retention::ActiveDrConfig adr_config;
-    adr_config.initial_lifetime_days = lifetime;
-    adr_config.dry_run = dry_run;
-    adr_config.record_victims = want_victims;
-    adr_config.scan_mode = scan_mode;
-    retention::ActiveDrPolicy policy(adr_config, registry);
     if (const auto exempt = config.get("exempt")) {
-      policy.set_exemptions(retention::ExemptionList::load(*exempt));
+      service.set_exemptions(retention::ExemptionList::load(*exempt));
     }
-    const auto plan = activeness::build_scan_plan(ranks.all());
-    report = policy.run(vfs, now, target, plan);
+    if (ranks) {
+      report = service.purge(now, target,
+                             activeness::build_scan_plan(ranks->all()));
+    } else {
+      // Inline evaluation at --now — the single-binary path for sites that
+      // don't persist rank stores, and the fallback when a persisted store
+      // failed verification.
+      service.register_paper_types();
+      service.ingest_jobs(
+          trace::JobLog::load_csv(require_str(config, "jobs"), ingest.opts),
+          core::kJobActivityType);
+      if (const auto pubs_path = config.get("pubs")) {
+        service.ingest_publications(
+            trace::PublicationLog::load_csv(*pubs_path, ingest.opts),
+            core::kPublicationActivityType);
+      }
+      report = service.purge(now, target);
+    }
   } else {
     throw std::runtime_error("unknown --policy: " + policy_name +
                              " (expected activedr or flt)");
   }
 
+  const fs::Vfs& vfs = service.vfs();
   ingest.report(out);
   report.print(out);
   if (report.dry_run) {

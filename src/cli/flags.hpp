@@ -8,7 +8,6 @@
 
 #include "activeness/activity.hpp"
 #include "activeness/sharded.hpp"
-#include "retention/flt.hpp"
 #include "util/config.hpp"
 #include "util/time.hpp"
 
@@ -58,17 +57,6 @@ inline activeness::BackpressurePolicy backpressure_flag(
   if (name == "spill") return activeness::BackpressurePolicy::kSpill;
   throw std::runtime_error("unknown --backpressure: " + name +
                            " (expected block, shed, or spill)");
-}
-
-inline retention::ScanMode scan_mode_flag(const util::Config& config) {
-  const std::string name = config.get_string("scan-mode", "auto");
-  if (name == "walk") return retention::ScanMode::kWalk;
-  if (name == "indexed") return retention::ScanMode::kIndexed;
-  if (name != "auto") {
-    throw std::runtime_error("unknown --scan-mode: " + name +
-                             " (expected auto, walk, or indexed)");
-  }
-  return retention::ScanMode::kAuto;
 }
 
 }  // namespace adr::cli

@@ -200,18 +200,26 @@ activeness::UserGroup Service::group_of(trace::UserId user) const {
                               : activeness::UserGroup::kBothInactive;
 }
 
+std::uint64_t Service::configured_target_bytes() const {
+  return config_.purge_target_utilization > 0.0
+             ? retention::purge_target_bytes(vfs_,
+                                             config_.purge_target_utilization)
+             : 0;
+}
+
 retention::PurgeReport Service::purge(util::TimePoint now) {
-  const std::uint64_t target =
-      config_.purge_target_utilization > 0.0
-          ? retention::purge_target_bytes(vfs_,
-                                          config_.purge_target_utilization)
-          : 0;
-  return purge(now, target);
+  return purge(now, configured_target_bytes());
 }
 
 retention::PurgeReport Service::purge(util::TimePoint now,
                                       std::uint64_t target_bytes) {
   evaluate(now);
+  return purge(now, target_bytes, pipeline_->plan());
+}
+
+retention::PurgeReport Service::purge(util::TimePoint now,
+                                      std::uint64_t target_bytes,
+                                      const activeness::ScanPlan& plan) {
   util::FaultInjector::global().crash_point("service.purge");
   retention::ActiveDrConfig config;
   config.initial_lifetime_days = config_.lifetime_days;
@@ -227,16 +235,11 @@ retention::PurgeReport Service::purge(util::TimePoint now,
     for (const auto& p : exemptions_.reserved_paths()) copy.reserve(p);
     policy.set_exemptions(std::move(copy));
   }
-  return policy.run(vfs_, now, target_bytes, pipeline_->plan());
+  return policy.run(vfs_, now, target_bytes, plan);
 }
 
 retention::PurgeReport Service::purge_flt(util::TimePoint now) {
-  const std::uint64_t target =
-      config_.purge_target_utilization > 0.0
-          ? retention::purge_target_bytes(vfs_,
-                                          config_.purge_target_utilization)
-          : 0;
-  return purge_flt(now, target);
+  return purge_flt(now, configured_target_bytes());
 }
 
 retention::PurgeReport Service::purge_flt(util::TimePoint now,
@@ -245,7 +248,6 @@ retention::PurgeReport Service::purge_flt(util::TimePoint now,
   config.lifetime_days = config_.lifetime_days;
   config.dry_run = config_.dry_run;
   config.record_victims = config_.record_victims;
-  config.scan_mode = config_.scan_mode;
   retention::FltPolicy policy(config);
   policy.set_group_of([this](trace::UserId user) { return group_of(user); });
   return policy.run(vfs_, now, target_bytes);

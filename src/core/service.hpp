@@ -17,10 +17,10 @@
 //   auto report = service.purge(now);                         // per trigger
 //
 // Every emulator run (sim/emulator.cpp, the paper's year replay) builds one
-// Service, sim/loadgen.cpp drives one under sustained load, and `activedr
-// serve` keeps one resident and feeds it from the WAL. The one-shot CLI
-// commands `evaluate` and `purge` still wire store, pipeline and policy
-// themselves.
+// Service, sim/loadgen.cpp drives one under sustained load, `activedr
+// serve` keeps one resident and feeds it from the WAL, and the one-shot CLI
+// commands `evaluate` and `purge` build one per run. Every purge they run
+// reads the Vfs's purge index.
 //
 // Three capabilities serve the daemon (the one-shot paths get them for
 // free):
@@ -82,7 +82,8 @@ struct ServiceConfig {
   /// (activeness/sharded.hpp). 0 = one per available thread (max 16).
   std::size_t eval_shards = 0;
 
-  retention::ScanMode scan_mode = retention::ScanMode::kAuto;
+  /// ActiveDR's scan (kWalk is the reference); FLT always reads the index.
+  retention::ScanMode scan_mode = retention::ScanMode::kIndexed;
   bool dry_run = false;
   bool record_victims = false;
 };
@@ -165,11 +166,15 @@ class Service {
   /// no-target overload derives the byte target from
   /// config().purge_target_utilization and the Vfs capacity; the explicit
   /// overload takes the target in bytes (0 = no target, purge all expired)
-  /// — the daemon computes cmd_purge-compatible retain-fraction targets
-  /// through it.
+  /// — the daemon and `purge` pass retention::retain_target_bytes here.
   retention::PurgeReport purge(util::TimePoint now);
   retention::PurgeReport purge(util::TimePoint now,
                                std::uint64_t target_bytes);
+  /// ActiveDR over a caller's scan plan (e.g. a saved rank store); never
+  /// evaluates. The overloads above run this with the pipeline's plan.
+  retention::PurgeReport purge(util::TimePoint now,
+                               std::uint64_t target_bytes,
+                               const activeness::ScanPlan& plan);
   /// The FLT baseline on the same state (mutates the vfs just like purge).
   /// Never evaluates; the report's by_group rows follow group_of(), i.e.
   /// the latest evaluation.
@@ -216,6 +221,8 @@ class Service {
 
  private:
   activeness::ActivityStore& ensure_store();
+  /// The byte target config().purge_target_utilization asks for.
+  std::uint64_t configured_target_bytes() const;
 
   trace::UserRegistry registry_;
   ServiceConfig config_;

@@ -120,7 +120,7 @@ class PurgeIndex {
                        std::vector<Entry>& out) const;
 
   /// Expired files across every owner, globally sorted ascending
-  /// (atime, id) — oldest first (the FLT fast path).
+  /// (atime, id) — oldest first (FLT's scan).
   std::vector<OwnedEntry> collect_expired_all(util::TimePoint cutoff) const;
 
   /// True if exactly this entry (owner, atime, id, size) is indexed —

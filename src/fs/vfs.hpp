@@ -14,8 +14,9 @@
 // shrinks to a ~24 B spill record (the purge index keeps atime/size/owner and
 // the interned path, so victim selection never faults). An access, create, or
 // remove naming an evicted owner faults that user's subtree back from the
-// index + spill records. Walk-mode scans (for_each*) see only resident files
-// — policies must run in indexed scan mode when a budget is set.
+// index + spill records. Walks (for_each*) see only resident files, so every
+// production purge reads the purge index, and the ActiveDR walk reference
+// refuses a Vfs with evicted users.
 
 #include <cstdint>
 #include <functional>
@@ -168,8 +169,8 @@ class Vfs {
   void fault_user(trace::UserId user);
 
   /// Visit all files under a path prefix (policy scan entry point).
-  /// Resident view only: evicted files are not walked (indexed scan mode is
-  /// the contract under a memory budget).
+  /// Resident view only: evicted files are not walked (policies read the
+  /// purge index instead).
   void for_each_under(
       std::string_view prefix,
       const std::function<void(const std::string&, const FileMeta&)>& fn) const {

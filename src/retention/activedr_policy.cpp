@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <stdexcept>
 #include <unordered_set>
 #include <utility>
 #include <vector>
@@ -112,7 +113,13 @@ PurgeReport ActiveDrPolicy::run(fs::Vfs& vfs, util::TimePoint now,
 
   report.dry_run = config_.dry_run;
   const bool record = config_.dry_run || config_.record_victims;
-  const bool indexed = config_.scan_mode != ScanMode::kWalk;
+  const bool indexed = config_.scan_mode == ScanMode::kIndexed;
+  if (!indexed && vfs.evicted_user_count() > 0) {
+    // The walk sees only resident files: it would purge from a subset.
+    throw std::logic_error(
+        "ActiveDrPolicy: the walk reference cannot scan a Vfs with evicted "
+        "users; use ScanMode::kIndexed");
+  }
   (indexed ? indexed_scans() : walk_scans()).add();
   const fs::PurgeIndex& index = vfs.purge_index();
 

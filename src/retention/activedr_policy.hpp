@@ -28,10 +28,11 @@
 // index, and makes the retrospective passes *scan-once* — a group's
 // candidates are materialized a single time at the fully-decayed cutoff
 // (decay only widens the victim window, so each pass's victims are a prefix)
-// and passes 1..5 just advance a per-user cursor. kWalk preserves the
-// original per-pass directory re-walks as the measurable baseline. Within a
-// user, both modes purge oldest-first (atime, then path id), so they select
-// identical victims.
+// and passes 1..5 just advance a per-user cursor. kWalk keeps the original
+// per-pass directory re-walks as the reference the index is checked
+// against; it refuses a Vfs with evicted users. Within a user, both modes
+// purge oldest-first (atime, then path id), so they select identical
+// victims.
 
 #include <cstdint>
 #include <string>
@@ -67,15 +68,16 @@ struct ActiveDrConfig {
   /// Record every victim path into PurgeReport::victim_paths.
   bool record_victims = false;
 
-  /// kAuto/kIndexed: scan the Vfs's atime-ordered purge index — candidates
+  /// kIndexed: scan the Vfs's atime-ordered purge index — candidates
   /// materialize once per group and retrospective passes advance a cursor
-  /// (no re-walks). kWalk: the seed's per-pass trie walk. Both modes
-  /// produce identical PurgeReports: the same victims (per user, ascending
-  /// atime with path-id tie-break) and the same exempted_files count (an
-  /// exempt file counts once per scanned group, and only when expired at
-  /// the group's widest fully-decayed cutoff — the candidate population
-  /// the index materializes).
-  ScanMode scan_mode = ScanMode::kAuto;
+  /// (no re-walks). kWalk: the per-pass trie walk reference; run() throws
+  /// std::logic_error on a Vfs with evicted users. Both modes produce
+  /// identical PurgeReports: the same victims (per user, ascending atime
+  /// with path-id tie-break) and the same exempted_files count (an exempt
+  /// file counts once per scanned group, and only when expired at the
+  /// group's widest fully-decayed cutoff — the candidate population the
+  /// index materializes).
+  ScanMode scan_mode = ScanMode::kIndexed;
 };
 
 class ActiveDrPolicy {

@@ -1,5 +1,7 @@
 #include "retention/flt.hpp"
 
+#include <algorithm>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -8,6 +10,33 @@
 #include "util/logging.hpp"
 
 namespace adr::retention {
+
+namespace {
+
+/// The component at or after `pos` (empty at the end), as fs::split_path.
+std::string_view next_component(std::string_view path, std::size_t& pos) {
+  while (pos < path.size() && path[pos] == '/') ++pos;
+  const std::size_t begin = pos;
+  while (pos < path.size() && path[pos] != '/') ++pos;
+  return path.substr(begin, pos - begin);
+}
+
+/// The order PathTrie::for_each visits paths: children are sorted by their
+/// first component, so paths compare component by component and a path
+/// precedes everything below it. Plain byte order differs wherever a
+/// component is a prefix of a sibling ("/s/u1-x" vs "/s/u1/f").
+bool trie_order_less(std::string_view a, std::string_view b) {
+  std::size_t i = 0, j = 0;
+  for (;;) {
+    const std::string_view ca = next_component(a, i);
+    const std::string_view cb = next_component(b, j);
+    if (cb.empty()) return false;
+    if (ca.empty()) return true;
+    if (ca != cb) return ca < cb;
+  }
+}
+
+}  // namespace
 
 FltPolicy::FltPolicy(FltConfig config)
     : config_(config), group_of_([](trace::UserId) {
@@ -32,13 +61,7 @@ PurgeReport FltPolicy::run(fs::Vfs& vfs, util::TimePoint now,
 
   const util::Duration lifetime = util::days(config_.lifetime_days);
   const bool no_target = target_purge_bytes == 0;
-  // Strict runs purge the whole expired set, so its order is unobservable
-  // and the index is always safe; purge-to-target runs keep the documented
-  // trie-DFS "system scan order" unless the caller opts into the index
-  // (whose order is oldest-first).
-  const bool indexed =
-      config_.scan_mode == ScanMode::kIndexed ||
-      (config_.scan_mode == ScanMode::kAuto && no_target);
+  const fs::PurgeIndex& index = vfs.purge_index();
 
   struct Victim {
     fs::PathId id;
@@ -48,17 +71,15 @@ PurgeReport FltPolicy::run(fs::Vfs& vfs, util::TimePoint now,
   std::vector<Victim> victims;
   {
     obs::TimerSpan scan_span("policy.scan");
-    if (indexed) {
-      for (const auto& oe :
-           vfs.purge_index().collect_expired_all(now - lifetime)) {
-        victims.push_back({oe.entry.id, oe.owner, oe.entry.size_bytes});
-      }
-    } else {
-      vfs.for_each([&](const std::string&, const fs::FileMeta& meta) {
-        if (now - meta.atime > lifetime) {
-          victims.push_back({meta.path_id, meta.owner, meta.size_bytes});
-        }
-      });
+    for (const auto& oe : index.collect_expired_all(now - lifetime)) {
+      victims.push_back({oe.entry.id, oe.owner, oe.entry.size_bytes});
+    }
+    // A target makes the order observable: purge in system scan order.
+    if (!no_target) {
+      std::sort(victims.begin(), victims.end(),
+                [&index](const Victim& a, const Victim& b) {
+                  return trie_order_less(index.path(a.id), index.path(b.id));
+                });
     }
     report.phases.scan_seconds += scan_span.stop();
   }
@@ -70,7 +91,7 @@ PurgeReport FltPolicy::run(fs::Vfs& vfs, util::TimePoint now,
   obs::TimerSpan apply_span("policy.apply");
   for (const auto& v : victims) {
     if (!no_target && remaining == 0) break;
-    const std::string& path = vfs.purge_index().path(v.id);
+    const std::string& path = index.path(v.id);
     if (record) report.victim_paths.push_back(path);
     if (!config_.dry_run) vfs.remove(path, v.owner);
     report.purged_bytes += v.size;

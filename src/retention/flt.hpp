@@ -10,6 +10,11 @@
 //    DFS path order) until the byte target is met — the "same purge target"
 //    comparison mode of §4. FLT has no recourse beyond expired files: if
 //    they don't cover the target the run reports target_reached = false.
+//
+// Both modes take the expired set from the Vfs's purge index, so evicted
+// users (DESIGN.md §15.3) are purged like resident ones. Strict runs purge
+// in index order (oldest first); purge-to-target runs first sort the set
+// into the trie's DFS order, which compares paths component by component.
 
 #include <cstdint>
 #include <string>
@@ -24,14 +29,6 @@ struct FltConfig {
   bool dry_run = false;
   /// Record every victim path into PurgeReport::victim_paths.
   bool record_victims = false;
-
-  /// kIndexed: read expired files straight off the Vfs's atime-ordered
-  /// purge index, oldest first, instead of walking the trie. kWalk keeps
-  /// the legacy trie-DFS path order. kAuto picks indexed for strict
-  /// (no-target) runs — where the victim *set* is order-independent — and
-  /// the walk for purge-to-target runs, whose documented semantics purge in
-  /// system scan order.
-  ScanMode scan_mode = ScanMode::kAuto;
 
   /// Facility presets from Table 1.
   static FltConfig ncar() { return {120}; }

@@ -12,6 +12,12 @@ std::uint64_t purge_target_bytes(const fs::Vfs& vfs,
   return static_cast<std::uint64_t>(used - target_used);
 }
 
+std::uint64_t retain_target_bytes(const fs::Vfs& vfs, double retain) {
+  if (retain <= 0.0) return 0;
+  return static_cast<std::uint64_t>(static_cast<double>(vfs.total_bytes()) *
+                                    (1.0 - retain));
+}
+
 void fill_users_total(PurgeReport& report, const fs::Vfs& vfs,
                       const GroupOf& group_of) {
   for (const auto& [user, usage] : vfs.usage_by_user()) {

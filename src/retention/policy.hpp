@@ -14,25 +14,26 @@
 
 namespace adr::retention {
 
-/// How a policy run finds expired files.
+/// How ActiveDR finds expired files. FLT always reads the purge index.
 enum class ScanMode {
-  /// Policy-specific default: ActiveDR always takes the indexed path (its
-  /// victim selection is identical in both modes by construction); FLT
-  /// takes it only for strict (no-target) runs, where victim *order* is
-  /// unobservable, and keeps the legacy path-order walk when a byte target
-  /// makes the order part of its documented semantics.
-  kAuto,
-  /// Trie walk per pass (the seed behaviour; the bench baseline).
-  kWalk,
   /// Range queries against the Vfs's atime-ordered purge index; ActiveDR's
   /// retrospective passes become cursor advances over candidates
-  /// materialized once per group (scan-once).
+  /// materialized once per group (scan-once). The production path.
   kIndexed,
+  /// Trie walk per pass: the reference the indexed scan is checked against
+  /// (tests, bench_fig12, the benchmark's reference digests). It sees only
+  /// resident files, so it refuses to run on a Vfs with evicted users.
+  kWalk,
 };
 
 /// Bytes a purge run must free so that used space drops to
 /// `target_utilization` x capacity. Zero when already below target.
 std::uint64_t purge_target_bytes(const fs::Vfs& vfs, double target_utilization);
+
+/// Bytes a purge run must free to retain the fraction `retain` of current
+/// usage — the `purge --target` and daemon `retain =` arithmetic. Zero when
+/// `retain` <= 0 (no byte target).
+std::uint64_t retain_target_bytes(const fs::Vfs& vfs, double retain);
 
 /// Count users holding >= 1 file per report group (the "Users" denominator
 /// of Fig. 11), written into `report.by_group[*].users_total`.

@@ -8,6 +8,7 @@
 #include <thread>
 
 #include "obs/metrics.hpp"
+#include "retention/policy.hpp"
 #include "trace/snapshot.hpp"
 #include "util/backoff.hpp"
 #include "util/config.hpp"
@@ -299,15 +300,10 @@ void Daemon::handle_command(const std::string& cmd_path) {
       const auto now = static_cast<util::TimePoint>(cmd.get_int("now", 0));
       const auto begin = std::chrono::steady_clock::now();
       if (verb == "trigger") {
-        // Same target arithmetic as one-shot `purge --target`: retain this
-        // fraction of *current usage* (0 disables the byte target).
-        const double retain = cmd.get_double("retain", 0.5);
-        const std::uint64_t target =
-            retain > 0.0 ? static_cast<std::uint64_t>(
-                               static_cast<double>(
-                                   service_.vfs().total_bytes()) *
-                               (1.0 - retain))
-                         : 0;
+        // Same target as one-shot `purge --target`: retain this fraction
+        // of *current usage* (0 disables the byte target).
+        const std::uint64_t target = retention::retain_target_bytes(
+            service_.vfs(), cmd.get_double("retain", 0.5));
         const std::string policy = cmd.get_string("policy", "activedr");
         if (policy != "activedr" && policy != "flt") {
           throw std::runtime_error("unknown policy \"" + policy + "\"");

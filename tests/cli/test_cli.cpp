@@ -9,7 +9,6 @@
 
 #include <unistd.h>
 
-#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -147,39 +146,6 @@ TEST_F(CliTest, PurgeCheckIndexVerifiesConsistency) {
            "flt", "--lifetime", "30", "--target", "0", "--check-index"});
   EXPECT_EQ(r.code, 0) << r.err;
   EXPECT_NE(r.out.find("Purge index verified"), std::string::npos);
-}
-
-TEST_F(CliTest, PurgeScanModesSelectIdenticalVictims) {
-  // The same FLT purge under --scan-mode walk and indexed must write the
-  // same victim list (modulo order; strict runs purge the full expired set).
-  std::vector<std::string> victims[2];
-  int i = 0;
-  for (const char* mode : {"walk", "indexed"}) {
-    const std::string list = path(std::string("victims_") + mode + ".txt");
-    const CliResult r =
-        run({"purge", "--snapshot", path("snapshot.csv").c_str(), "--users",
-             path("users.csv").c_str(), "--now", "2016-06-01", "--policy",
-             "flt", "--lifetime", "30", "--target", "0", "--dry-run",
-             "--scan-mode", mode, "--victims", list.c_str()});
-    ASSERT_EQ(r.code, 0) << r.err;
-    std::ifstream in(list);
-    for (std::string line; std::getline(in, line);) {
-      victims[i].push_back(line);
-    }
-    std::sort(victims[i].begin(), victims[i].end());
-    ++i;
-  }
-  EXPECT_FALSE(victims[0].empty());
-  EXPECT_EQ(victims[0], victims[1]);
-}
-
-TEST_F(CliTest, PurgeRejectsUnknownScanMode) {
-  const CliResult r =
-      run({"purge", "--snapshot", path("snapshot.csv").c_str(), "--users",
-           path("users.csv").c_str(), "--now", "2016-06-01", "--policy",
-           "flt", "--scan-mode", "psychic"});
-  EXPECT_EQ(r.code, 1);
-  EXPECT_NE(r.err.find("unknown --scan-mode"), std::string::npos);
 }
 
 TEST_F(CliTest, PurgeRejectsUnknownEvalMode) {
@@ -465,6 +431,19 @@ TEST_F(CliTest, CorruptRankStoreFallsBackAndMatchesCleanInlineRun) {
   const CliResult clean = purge(clean_victims, /*with_ranks=*/false);
   ASSERT_TRUE(clean.code == 0 || clean.code == 2) << clean.err;
 
+  const auto slurp_lines = [](const std::string& p) {
+    std::ifstream in(p);
+    std::vector<std::string> lines;
+    for (std::string line; std::getline(in, line);) lines.push_back(line);
+    return lines;
+  };
+  // The stored ranks and the inline evaluation order the same purge.
+  const std::string stored_victims = path("victims_clean_stored.txt");
+  const CliResult stored = purge(stored_victims, /*with_ranks=*/true);
+  ASSERT_EQ(stored.code, clean.code) << stored.err;
+  EXPECT_EQ(stored.out.find("WARNING"), std::string::npos);
+  EXPECT_EQ(slurp_lines(stored_victims), slurp_lines(clean_victims));
+
   // Flip one payload byte: the CRC footer must catch it.
   {
     std::fstream f(ranks, std::ios::in | std::ios::out | std::ios::binary);
@@ -483,12 +462,6 @@ TEST_F(CliTest, CorruptRankStoreFallsBackAndMatchesCleanInlineRun) {
   EXPECT_FALSE(fsys::exists(ranks));  // moved aside, not acted on
   EXPECT_TRUE(fsys::exists(ranks + ".corrupt"));
 
-  const auto slurp_lines = [](const std::string& p) {
-    std::ifstream in(p);
-    std::vector<std::string> lines;
-    for (std::string line; std::getline(in, line);) lines.push_back(line);
-    return lines;
-  };
   const auto clean_list = slurp_lines(clean_victims);
   const auto fallback_list = slurp_lines(fallback_victims);
   EXPECT_FALSE(clean_list.empty());

@@ -34,6 +34,17 @@ TEST(PurgeTarget, ZeroWhenUnderTarget) {
   EXPECT_EQ(purge_target_bytes(vfs, 0.5), 0u);
 }
 
+TEST(PurgeTarget, RetainFractionOfCurrentUsage) {
+  fs::Vfs empty;
+  EXPECT_EQ(retain_target_bytes(empty, 0.5), 0u);
+  fs::Vfs vfs;
+  vfs.create("/a/x", meta(0, 1000, 1));
+  vfs.set_capacity_bytes(4000);  // capacity plays no part
+  EXPECT_EQ(retain_target_bytes(vfs, 0.0), 0u);  // no byte target
+  EXPECT_EQ(retain_target_bytes(vfs, 0.5), 500u);
+  EXPECT_EQ(retain_target_bytes(vfs, 1.0), 0u);
+}
+
 TEST(Flt, StrictPurgesAllExpired) {
   fs::Vfs vfs;
   vfs.create("/s/u0/old1", meta(0, 10, 100));

@@ -4,16 +4,19 @@
 // count (an exempt file counts once per scanned group, only when expired at
 // the group's widest fully-decayed cutoff) — across targets, retrospective
 // passes, and randomized file populations. The only sanctioned difference
-// is the phase wall times.
+// is the phase wall times. FLT has no walk mode: its runs are checked against
+// a namespace-walk oracle, with and without a residency budget.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "activeness/classifier.hpp"
+#include "core/service.hpp"
 #include "retention/activedr_policy.hpp"
 #include "retention/flt.hpp"
 #include "trace/user_registry.hpp"
@@ -221,31 +224,116 @@ TEST(ScanModes, ExemptionsRespectedInBothModes) {
   EXPECT_EQ(exempted_by_mode[0], exempted_by_mode[1]);
 }
 
+/// The FLT reference: walk the whole namespace (trie DFS order), keep the
+/// files expired at `now`, and cut the list once `target` bytes are covered
+/// (0 = no target, keep every expired file).
+std::vector<std::string> flt_walk_oracle(const fs::Vfs& vfs, int lifetime_days,
+                                         std::uint64_t target) {
+  std::vector<std::string> victims;
+  std::uint64_t covered = 0;
+  vfs.for_each([&](const std::string& path, const fs::FileMeta& m) {
+    if (target != 0 && covered >= target) return;
+    if (kNow - m.atime <= util::days(lifetime_days)) return;
+    victims.push_back(path);
+    covered += m.size_bytes;
+  });
+  return victims;
+}
+
 TEST(ScanModes, FltStrictModesSelectIdenticalVictimSets) {
   util::Rng rng(99);
   const auto registry = trace::UserRegistry::with_synthetic_users(kUsers);
   fs::Vfs vfs;
   populate(vfs, registry, rng);
 
-  std::vector<std::string> victims_by_mode[2];
-  std::uint64_t purged_by_mode[2] = {0, 0};
-  int i = 0;
-  for (const ScanMode mode : {ScanMode::kWalk, ScanMode::kIndexed}) {
-    fs::Vfs run;
-    run.import_snapshot(vfs.export_snapshot());
-    FltConfig config;
-    config.record_victims = true;
-    config.scan_mode = mode;
-    const FltPolicy policy(config);
-    const PurgeReport report = policy.run(run, kNow, /*target=*/0);
-    victims_by_mode[i] = report.victim_paths;
-    std::sort(victims_by_mode[i].begin(), victims_by_mode[i].end());
-    purged_by_mode[i] = report.purged_bytes;
-    EXPECT_TRUE(run.verify_purge_index());
-    ++i;
+  std::vector<std::string> expected = flt_walk_oracle(vfs, 90, 0);
+  ASSERT_FALSE(expected.empty());
+  std::sort(expected.begin(), expected.end());
+
+  fs::Vfs run;
+  run.import_snapshot(vfs.export_snapshot());
+  FltConfig config;
+  config.record_victims = true;
+  const PurgeReport report = FltPolicy(config).run(run, kNow, /*target=*/0);
+  std::vector<std::string> victims = report.victim_paths;
+  std::sort(victims.begin(), victims.end());
+  EXPECT_EQ(victims, expected);
+  EXPECT_TRUE(run.verify_purge_index());
+}
+
+/// 50 users x 20 files of 1000 B, split over sibling directories "d" and
+/// "d-old" (byte order and trie order disagree on them), one file in five
+/// still fresh under a 1-day lifetime. A non-zero budget evicts all but a
+/// few users.
+void populate_budget_case(fs::Vfs& vfs, const trace::UserRegistry& registry,
+                          std::uint64_t budget) {
+  vfs.set_memory_budget_bytes(budget);
+  for (trace::UserId u = 0; u < registry.size(); ++u) {
+    for (int i = 0; i < 20; ++i) {
+      const std::string path = registry.home_dir(u) +
+                               (i % 2 == 0 ? "/d/f" : "/d-old/f") +
+                               std::to_string(i);
+      vfs.create(path, meta(u, 1000, i % 5 == 0 ? 0.5 : 2.0 + i));
+    }
   }
-  EXPECT_EQ(victims_by_mode[0], victims_by_mode[1]);
-  EXPECT_EQ(purged_by_mode[0], purged_by_mode[1]);
+}
+
+TEST(ScanModes, FltPurgeToTargetIgnoresTheResidencyBudget) {
+  constexpr std::uint64_t kTarget = 500'000;
+  const auto registry = trace::UserRegistry::with_synthetic_users(50);
+  FltConfig config;
+  config.lifetime_days = 1;
+  config.record_victims = true;
+
+  fs::Vfs unbudgeted;
+  populate_budget_case(unbudgeted, registry, 0);
+  const std::vector<std::string> oracle =
+      flt_walk_oracle(unbudgeted, 1, kTarget);
+  ASSERT_EQ(oracle.size(), 500u);
+  const PurgeReport reference = FltPolicy(config).run(unbudgeted, kNow, kTarget);
+  EXPECT_EQ(reference.victim_paths, oracle);
+
+  fs::Vfs budgeted;
+  populate_budget_case(budgeted, registry, 4096);
+  ASSERT_GT(budgeted.evicted_user_count(), 0u);
+  const PurgeReport report = FltPolicy(config).run(budgeted, kNow, kTarget);
+  EXPECT_EQ(report.purged_files, 500u);
+  EXPECT_EQ(report.purged_bytes, kTarget);
+  EXPECT_TRUE(report.target_reached);
+  EXPECT_EQ(report.victim_paths, reference.victim_paths);  // order included
+  EXPECT_EQ(report.affected_users, reference.affected_users);
+  EXPECT_TRUE(budgeted.verify_purge_index());
+
+  core::ServiceConfig service_config;
+  service_config.lifetime_days = 1;
+  service_config.record_victims = true;
+  core::Service service(registry, service_config);
+  populate_budget_case(service.vfs(), registry, 4096);
+  ASSERT_GT(service.vfs().evicted_user_count(), 0u);
+  const PurgeReport via_service = service.purge_flt(kNow, kTarget);
+  EXPECT_EQ(via_service.purged_files, 500u);
+  EXPECT_EQ(via_service.victim_paths, reference.victim_paths);
+}
+
+TEST(ScanModes, WalkReferenceRefusesAVfsWithEvictedUsers) {
+  util::Rng rng(5);
+  const auto registry = trace::UserRegistry::with_synthetic_users(kUsers);
+  fs::Vfs vfs;
+  populate(vfs, registry, rng);
+  vfs.set_memory_budget_bytes(1);
+  ASSERT_GT(vfs.evicted_user_count(), 0u);
+  const ScanPlan plan = make_plan(rng);
+
+  ActiveDrConfig config;
+  config.scan_mode = ScanMode::kWalk;
+  EXPECT_THROW(ActiveDrPolicy(config, registry).run(vfs, kNow, 0, plan),
+               std::logic_error);
+
+  config.scan_mode = ScanMode::kIndexed;
+  const PurgeReport report =
+      ActiveDrPolicy(config, registry).run(vfs, kNow, 0, plan);
+  EXPECT_GT(report.purged_files, 0u);
+  EXPECT_TRUE(vfs.verify_purge_index());
 }
 
 }  // namespace
